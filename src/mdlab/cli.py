@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -45,7 +44,6 @@ class RunConfig:
     max_M: int = 4
     gl_rank: int = 3
     report_path: str | None = None
-    workers: int = 1
 
 
 class UsageError(ValueError):
@@ -70,7 +68,7 @@ def _apply_file_values(cfg: RunConfig, values: dict[str, str]) -> None:
     casts = {
         "b": float, "omega1": float, "omega2": float,
         "seed": int, "trials": int, "max_N": int, "max_M": int,
-        "gl_rank": int, "workers": int, "report": str,
+        "gl_rank": int,
     }
     for key, raw in values.items():
         if key == "suites":
@@ -109,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-M", type=int, dest="max_M", help="symbolic bound M")
     parser.add_argument("--gl-rank", type=int, choices=(2, 3), dest="gl_rank")
     parser.add_argument("--report", metavar="PATH", help="report file path")
-    parser.add_argument("--workers", type=int, help="concurrent workers (default 1)")
     return parser
 
 
@@ -119,8 +116,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         _apply_file_values(cfg, _read_config_file(args.config))
-    for name in ("b", "omega1", "omega2", "seed", "trials", "max_N", "max_M",
-                 "gl_rank", "workers"):
+    for name in ("b", "omega1", "omega2", "seed", "trials", "max_N", "max_M", "gl_rank"):
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
@@ -157,8 +153,6 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("trials must be >= 1")
     if cfg.gl_rank not in (2, 3):
         raise UsageError("gl_rank must be 2 or 3")
-    if cfg.workers < 1:
-        raise UsageError("workers must be >= 1")
     if not (0 <= cfg.max_N and 0 <= cfg.max_M):
         raise UsageError("max_N and max_M must be non-negative")
     if cfg.seed < 0 or cfg.seed >= 2**64:
@@ -166,37 +160,6 @@ def _validate(cfg: RunConfig) -> None:
     for suite, tol in cfg.tolerances.items():
         if tol <= 0:
             raise UsageError(f"tolerance for {suite} must be positive")
-
-
-def _suite_jobs(cfg: RunConfig) -> list:
-    """One zero-argument callable per suite, each returning CheckReports."""
-    jobs = []
-    if "qdilog" in cfg.suites:
-        jobs.append(
-            lambda: qdilog_suite(
-                b_values=(cfg.b,), tolerance=cfg.tolerances.get("qdilog")
-            )
-        )
-    if "integrals" in cfg.suites:
-        jobs.append(
-            lambda: integrals_suite(
-                b=cfg.b, tolerance=cfg.tolerances.get("integrals", 1e-6)
-            )
-        )
-    if "symbolic" in cfg.suites:
-        jobs.append(lambda: symbolic_suite(max_N=cfg.max_N, max_M=cfg.max_M))
-    if "representation" in cfg.suites:
-        jobs.append(
-            lambda: representation_suite(
-                omega1=cfg.omega1,
-                omega2=cfg.omega2,
-                gl_rank=cfg.gl_rank,
-                trials=cfg.trials,
-                seed=cfg.seed,
-                tolerance=cfg.tolerances.get("representation", 1e-8),
-            )
-        )
-    return jobs
 
 
 def _report_path(cfg: RunConfig) -> Path:
@@ -208,15 +171,26 @@ def _report_path(cfg: RunConfig) -> Path:
 
 def run(cfg: RunConfig, out=sys.stdout) -> int:
     start = time.perf_counter()
-    jobs = _suite_jobs(cfg)
     reports: list[CheckReport] = []
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for result in pool.map(lambda job: job(), jobs):
-                reports.extend(result)
-    else:
-        for job in jobs:
-            reports.extend(job())
+    if "qdilog" in cfg.suites:
+        reports += qdilog_suite(
+            b_values=(cfg.b,), tolerance=cfg.tolerances.get("qdilog")
+        )
+    if "integrals" in cfg.suites:
+        reports += integrals_suite(
+            b=cfg.b, tolerance=cfg.tolerances.get("integrals", 1e-6)
+        )
+    if "symbolic" in cfg.suites:
+        reports += symbolic_suite(max_N=cfg.max_N, max_M=cfg.max_M)
+    if "representation" in cfg.suites:
+        reports += representation_suite(
+            omega1=cfg.omega1,
+            omega2=cfg.omega2,
+            gl_rank=cfg.gl_rank,
+            trials=cfg.trials,
+            seed=cfg.seed,
+            tolerance=cfg.tolerances.get("representation", 1e-8),
+        )
 
     for r in reports:
         print(r, file=out)

@@ -48,7 +48,6 @@ def _finish(
         rhs=rhs,
         rel_error=rel,
         tolerance=tolerance,
-        passed=rel <= tolerance,
         wall_time=time.perf_counter() - start,
     )
 

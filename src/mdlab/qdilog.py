@@ -354,7 +354,6 @@ def check_asymptotics(
         rhs=complex(np.conj(p.zeta_b)),
         rel_error=dev,
         tolerance=tolerance,
-        passed=dev <= tolerance,
         wall_time=time.perf_counter() - start,
         detail=f"upper-branch dev {dev_up:.3e}, lower-branch dev {dev_down:.3e}",
     )

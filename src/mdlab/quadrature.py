@@ -33,16 +33,14 @@ class QuadratureConfig:
     """Tolerances and contour policy for line integrals.
 
     abs_tol / rel_tol bound the quadrature error of the final estimate;
-    contour_offset is the default imaginary elevation when the caller does
-    not dictate one; max_T caps the truncation half-width; strip_margin is
-    the minimum distance kept from the boundary of the evaluation strip of
-    the quantum dilogarithm; offset_fraction scales the default elevation
-    of its defining integral.
+    max_T caps the truncation half-width; strip_margin is the minimum
+    distance kept from the boundary of the evaluation strip of the quantum
+    dilogarithm; offset_fraction scales the default elevation of its
+    defining integral.
     """
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-10
-    contour_offset: float = 0.25
     max_T: float = 512.0
     max_refinements: int = 4000
     strip_margin: float = 0.05
@@ -51,8 +49,6 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.contour_offset < 0:
-            raise ValueError("contour_offset must be >= 0")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
 

@@ -20,20 +20,24 @@ def _jsonable(value: Any) -> Any:
 class CheckReport:
     """One verified identity: what was checked, at which parameters, how well.
 
-    ``rel_error`` is the achieved relative deviation between the two sides;
-    ``passed`` is exactly ``rel_error <= tolerance``.  Exact symbolic checks
-    report ``rel_error = 0.0`` on success.
+    ``rel_error`` is the achieved relative deviation between the two sides.
+    Exact symbolic checks report ``rel_error = 0.0`` on success.  Checks
+    that only report a score leave ``lhs`` and ``rhs`` at 0.0.
     """
 
     identity_id: str
     params: dict = field(default_factory=dict)
-    lhs: complex | str | None = None
-    rhs: complex | str | None = None
+    lhs: complex | str | None = 0.0
+    rhs: complex | str | None = 0.0
     rel_error: float = 0.0
     tolerance: float = 0.0
-    passed: bool = False
     wall_time: float = 0.0
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """The one verdict rule: ``rel_error <= tolerance`` (NaN fails)."""
+        return self.rel_error <= self.tolerance
 
     def to_dict(self) -> dict:
         return {

@@ -77,11 +77,8 @@ def check_functional_equation(
     return CheckReport(
         identity_id="functional_equation",
         params={"b": b, "n_points": len(z), "max_shift": max_shift},
-        lhs=0.0,
-        rhs=0.0,
         rel_error=worst,
         tolerance=tolerance,
-        passed=worst <= tolerance,
         wall_time=time.perf_counter() - start,
     )
 
@@ -103,11 +100,8 @@ def check_reflection(
     return CheckReport(
         identity_id="reflection",
         params={"b": b, "n_points": len(z)},
-        lhs=0.0,
-        rhs=0.0,
         rel_error=worst,
         tolerance=tolerance,
-        passed=worst <= tolerance,
         wall_time=time.perf_counter() - start,
     )
 
@@ -130,11 +124,8 @@ def check_special_values(
     return CheckReport(
         identity_id="special_values",
         params={"b": b},
-        lhs=0.0,
-        rhs=0.0,
         rel_error=worst,
         tolerance=tolerance,
-        passed=worst <= tolerance,
         wall_time=time.perf_counter() - start,
         detail=f"zero at Q classified exactly: {zero_ok}",
     )
@@ -157,11 +148,8 @@ def check_residues(
     return CheckReport(
         identity_id="residues",
         params={"b": b, "max_n": max_n},
-        lhs=0.0,
-        rhs=0.0,
         rel_error=worst,
         tolerance=tolerance,
-        passed=worst <= tolerance,
         wall_time=time.perf_counter() - start,
     )
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mdlab.identities import (
@@ -11,6 +13,7 @@ from mdlab.identities import (
 )
 from mdlab.params import BParam
 from mdlab.quadrature import QuadratureConfig
+from mdlab.report import CheckReport
 
 P = BParam(0.83)
 CFG = QuadratureConfig()
@@ -96,3 +99,11 @@ def test_report_fields():
     assert d["identity_id"] == "tau_binomial"
     assert {"alpha", "beta", "b", "offset"} <= set(d["params"])
     assert d["passed"] is True
+    for rel, tol, passed in ((1e-8, 1e-8, True), (math.nextafter(1e-8, 1.0), 1e-8, False),
+                             (math.nan, 1e-8, False), (math.inf, 1e-8, False),
+                             (0.0, 0.0, True), (1.0, 0.0, False)):
+        rep = CheckReport("x", rel_error=rel, tolerance=tol)
+        assert rep.passed is passed and rep.to_dict()["passed"] is passed
+    assert (rep.lhs, rep.rhs) == (0.0, 0.0)
+    with pytest.raises(TypeError):
+        CheckReport("x", passed=True)

@@ -1,9 +1,11 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mdlab import repcheck
 from mdlab.params import OmegaParams
 from mdlab.repcheck import (
     ALL_RELATIONS,
@@ -16,6 +18,7 @@ from mdlab.repcheck import (
     gz_indices,
     relation_index_pairs,
     sample_point,
+    term_magnitudes,
     verify_all,
     verify_relation,
 )
@@ -147,6 +150,10 @@ def test_single_relations():
     assert verify_relation("serre_raise", 3, P, trials=3).passed
     assert verify_relation("cross_raise_traise", 3, P, trials=3).passed
     assert verify_relation("tilde_ef_commutator", 2, P, trials=5).passed
+    rep = verify_relation("raise_commute_distant", 2, P, trials=3)
+    assert rep.rel_error == 0.0 and rep.params["index_pairs"] == 1
+    assert rep.detail == "every trial scored exactly 0 (index pairs: 1)"
+    assert verify_relation("serre_raise", 2, P).detail == "no index pairs"
 
 
 def test_verify_all_n2_n3():
@@ -167,3 +174,32 @@ def test_seed_determinism():
 def test_unknown_relation():
     with pytest.raises(RepresentationError):
         verify_relation("no_such_relation", 2, P)
+
+
+SCORED = [("ef_commutator", 2), ("serre_raise", 3), ("cross_raise_traise", 3)]
+
+
+def _seeded_trials(rel_id, N, trials=3, seed=5):
+    """(operator, test function, point) of every trial verify_relation runs."""
+    for n, m in relation_index_pairs(rel_id, N):
+        D = repcheck._relation_operator(rel_id, n, m, N, P)
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, N, n, m, trial])
+            f = TestFunction.random(N, rng)
+            yield D, f, sample_point(N, rng)
+
+
+@pytest.mark.parametrize("rel_id, N", SCORED)
+def test_each_term_evaluated_once(rel_id, N):
+    terms = sum(len(D.terms) for D, _, _ in _seeded_trials(rel_id, N))
+    with mock.patch.object(TestFunction, "__call__", autospec=True,
+                           side_effect=TestFunction.__call__) as call:
+        verify_relation(rel_id, N, P, trials=3, seed=5)
+    assert call.call_count == terms
+
+
+@pytest.mark.parametrize("rel_id, N", SCORED)
+def test_score_matches_apply_and_magnitudes(rel_id, N):
+    scores = [abs(apply_operator(D, f, x, P)) / max(term_magnitudes(D, f, x, P))
+              for D, f, x in _seeded_trials(rel_id, N)]
+    assert verify_relation(rel_id, N, P, trials=3, seed=5).rel_error == max(scores)
