@@ -46,8 +46,8 @@ for N in (2, 4, 6):
     print(f"  (u + v)^{N}: {'exact' if rep.passed else 'MISMATCH'}")
 
 print("\n-- coproduct --")
-print("  Delta(E) =", dict(coproduct(E).terms))
-print("  Delta(K) =", dict(coproduct(NCPoly.gen(sl2, 'K1')).terms))
+print("  Delta(E) =", coproduct(E))
+print("  Delta(K) =", coproduct(NCPoly.gen(sl2, "K1")))
 
 print("\n-- dual-parameter twin: same checks over the second formal variable --")
 rep = verify_kac(2, 2, V_TILDE)

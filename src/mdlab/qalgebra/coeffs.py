@@ -1,66 +1,73 @@
 """Exact scalar coefficients for the symbolic engine.
 
-Coefficients live in the field of rational functions over Q(i) in one
-formal variable v standing for q^{1/2}; q itself is v**2.  Half-integer
-powers of q and the factor q^{-n^2/2} appearing in the straightening
-identities are then plain Laurent monomials in v.  The variable is
-injectable so the dual-parameter twin of every check is a re-execution
-with a different symbol, not new code.
+Coefficients are elements of the field Q(i)(v) of rational functions over
+the Gaussian rationals in one formal variable v standing for q^{1/2}; q
+itself is v**2.  Half-integer powers of q and the factor q^{-n^2/2}
+appearing in the straightening identities are then plain Laurent monomials
+in v.  Every field operation returns a reduced fraction, so two equal
+coefficients are equal under ``==`` and a zero coefficient is falsy: there
+is no separate canonicalisation step.
+
+The variable is injectable so the dual-parameter twin of every check is a
+re-execution over a second field, not new code.  Coefficients of the two
+fields never mix: arithmetic between them raises.
 """
 
 from __future__ import annotations
 
 import sympy as sp
+from sympy.polys.domains import QQ_I
+from sympy.polys.fields import FracElement, field
 
-#: Default formal variable, v = q^{1/2}.
-V = sp.Symbol("v")
+#: A coefficient: an element of Q(i)(v) for one formal variable v.
+Coeff = FracElement
+
+#: Default formal variable, v = q^{1/2}, as the generator of Q(i)(v).
+V: Coeff = field("v", QQ_I)[1]
 
 #: Formal variable for the dual-parameter re-runs, standing for qtilde^{1/2}.
-V_TILDE = sp.Symbol("w")
+V_TILDE: Coeff = field("w", QQ_I)[1]
 
 
-def q_of(v: sp.Symbol = V) -> sp.Expr:
-    return v ** 2
+def canon(x: Coeff | sp.Expr | int, v: Coeff = V) -> Coeff:
+    """``x`` as an element of the field generated by ``v``.
 
-
-def canon(expr: sp.Expr) -> sp.Expr:
-    """Canonical rational form; equality of coefficients is syntactic on it.
-
-    together() first collects the sum over a common denominator, which is
-    much cheaper than letting cancel() expand the raw accumulation tree.
+    Accepts an int, a sympy number such as ``sp.I``, or an element of that
+    field; an element of another field raises ValueError.
     """
-    return sp.cancel(sp.together(expr))
+    K = v.field
+    if isinstance(x, FracElement):
+        if x.field != K:
+            raise ValueError(
+                f"coefficient {x.as_expr()} lies in the field of {x.field.symbols}, "
+                f"not of {K.symbols}"
+            )
+        return x
+    # K(1) would reduce 1/1 again; the unit is already in the field.
+    return K.one if x == 1 else K(x)
 
 
-def is_zero(expr: sp.Expr) -> bool:
-    return canon(expr) == 0
+def is_zero(c: Coeff) -> bool:
+    return not c
 
 
-def qpow(k: int, v: sp.Symbol = V) -> sp.Expr:
+def qpow(k: int, v: Coeff = V) -> Coeff:
     """q^k as a Laurent monomial in v."""
     return v ** (2 * k)
 
 
-def qhalf_pow(k: int, v: sp.Symbol = V) -> sp.Expr:
-    """q^{k/2} as a Laurent monomial in v."""
-    return v ** k
-
-
-def qbracket_product(n: int, v: sp.Symbol = V) -> sp.Expr:
-    """The product of (q^k - q^{-k}) for k = 1..n."""
-    return sp.Mul(*[v ** (2 * k) - v ** (-2 * k) for k in range(1, n + 1)])
-
-
-def one_minus_qneg_product(n: int, v: sp.Symbol = V) -> sp.Expr:
+def one_minus_qneg_product(n: int, v: Coeff = V) -> Coeff:
     """The product of (1 - q^{-2k}) for k = 1..n."""
-    return sp.Mul(*[1 - v ** (-4 * k) for k in range(1, n + 1)])
+    out = v.field.one
+    for k in range(1, n + 1):
+        out *= 1 - v ** (-4 * k)
+    return out
 
 
-def gauss_binomial(N: int, n: int, v: sp.Symbol = V) -> sp.Expr:
+def gauss_binomial(N: int, n: int, v: Coeff = V) -> Coeff:
     """Gauss q-binomial coefficient in the (1 - q^{-2k}) normalization."""
     if not 0 <= n <= N:
         raise ValueError("need 0 <= n <= N")
-    return canon(
-        one_minus_qneg_product(N, v)
-        / (one_minus_qneg_product(n, v) * one_minus_qneg_product(N - n, v))
+    return one_minus_qneg_product(N, v) / (
+        one_minus_qneg_product(n, v) * one_minus_qneg_product(N - n, v)
     )

@@ -1,24 +1,26 @@
 """Noncommutative polynomials with exact coefficients and normal ordering.
 
-Words are tuples of generator names; a polynomial maps words to sympy
-coefficients in the field Q(i)(v).  Each preset fixes an alphabet, a total
-normal order on it (F-block, then K-block, then E-block) and a confluent
-set of adjacent-pair rewrite rules; normal ordering rewrites the leftmost
-reducible pair until none remains, which decides equality in the quotient
-algebra syntactically.
+Words are tuples of generator names; a polynomial maps words to non-zero
+coefficients in the field Q(i)(v) of its preset's variable (see
+``coeffs``).  Each preset fixes an alphabet, a total normal order on it
+(F-block, then K-block, then E-block) and a confluent set of adjacent-pair
+rewrite rules; normal ordering rewrites the leftmost reducible pair until
+none remains.  Field coefficients are reduced by construction, so two
+polynomials are equal in the quotient algebra iff their normal forms have
+the same terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
 
-from .coeffs import V, canon, is_zero, qpow
+from .coeffs import V, Coeff, canon, is_zero, qpow
 
 Word = tuple[str, ...]
-RuleBranch = tuple[sp.Expr, Word]
+RuleBranch = tuple[Coeff, Word]
 
 
 class RewriteError(RuntimeError):
@@ -32,11 +34,8 @@ class AlgebraPreset:
     name: str
     symbols: tuple[str, ...]
     rules: Mapping[tuple[str, str], tuple[RuleBranch, ...]]
-    v: sp.Symbol = V
+    v: Coeff = V
     forbidden: frozenset[tuple[str, str]] = frozenset()
-
-    def order_key(self, g: str) -> int:
-        return self.symbols.index(g)
 
     def validate_word(self, word: Word) -> None:
         for g in word:
@@ -44,19 +43,31 @@ class AlgebraPreset:
                 raise ValueError(f"generator {g!r} not in preset {self.name}")
 
 
+def _add_to(out: dict, key, c: Coeff) -> None:
+    out[key] = out[key] + c if key in out else c
+
+
+def _format_terms(terms: Mapping, show_word) -> str:
+    if not terms:
+        return "0"
+    return " + ".join(f"({c.as_expr()})*{show_word(w)}" for w, c in sorted(terms.items()))
+
+
 class NCPoly:
     """Finite linear combination of words over a preset's alphabet."""
 
     __slots__ = ("preset", "terms")
 
-    def __init__(self, preset: AlgebraPreset, terms: Mapping[Word, sp.Expr] | None = None):
+    def __init__(self, preset: AlgebraPreset, terms: Mapping[Word, object] | None = None):
+        """Coefficients may be ints, sympy numbers or elements of the
+        preset's field; each is coerced with ``canon``."""
         self.preset = preset
-        self.terms: dict[Word, sp.Expr] = {}
-        if terms:
-            for w, c in terms.items():
-                self.preset.validate_word(w)
-                if c != 0:
-                    self.terms[tuple(w)] = sp.sympify(c)
+        self.terms: dict[Word, Coeff] = {}
+        for w, c in (terms or {}).items():
+            preset.validate_word(w)
+            c = canon(c, preset.v)
+            if not is_zero(c):
+                self.terms[tuple(w)] = c
 
     # ------------------------------------------------------------------ basics
     @classmethod
@@ -65,14 +76,14 @@ class NCPoly:
 
     @classmethod
     def one(cls, preset: AlgebraPreset) -> "NCPoly":
-        return cls(preset, {(): sp.S.One})
+        return cls(preset, {(): 1})
 
     @classmethod
-    def gen(cls, preset: AlgebraPreset, name: str, coeff: sp.Expr = sp.S.One) -> "NCPoly":
+    def gen(cls, preset: AlgebraPreset, name: str, coeff: object = 1) -> "NCPoly":
         return cls(preset, {(name,): coeff})
 
     @classmethod
-    def word(cls, preset: AlgebraPreset, letters: Sequence[str], coeff: sp.Expr = sp.S.One) -> "NCPoly":
+    def word(cls, preset: AlgebraPreset, letters: Sequence[str], coeff: object = 1) -> "NCPoly":
         return cls(preset, {tuple(letters): coeff})
 
     def _check_compatible(self, other: "NCPoly") -> None:
@@ -83,25 +94,28 @@ class NCPoly:
         self._check_compatible(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, sp.S.Zero) + c
-        return NCPoly(self.preset, {w: c for w, c in out.items() if c != 0})
+            _add_to(out, w, c)
+        return NCPoly(self.preset, out)
+
+    def __neg__(self) -> "NCPoly":
+        return NCPoly(self.preset, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (other * sp.S.NegativeOne)
+        return self + -other
 
-    def __mul__(self, other: "NCPoly | sp.Expr | int") -> "NCPoly":
+    def __mul__(self, other: "NCPoly | Coeff | sp.Expr | int") -> "NCPoly":
         if isinstance(other, NCPoly):
             self._check_compatible(other)
-            out: dict[Word, sp.Expr] = {}
+            out: dict[Word, Coeff] = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
                     w = w1 + w2
-                    out[w] = out.get(w, sp.S.Zero) + c1 * c2
+                    _add_to(out, w, c1 * c2)
             return NCPoly(self.preset, out)
-        coeff = sp.sympify(other)
+        coeff = canon(other, self.preset.v)
         return NCPoly(self.preset, {w: c * coeff for w, c in self.terms.items()})
 
-    def __rmul__(self, other: "sp.Expr | int") -> "NCPoly":
+    def __rmul__(self, other: "Coeff | sp.Expr | int") -> "NCPoly":
         return self * other
 
     def __pow__(self, n: int) -> "NCPoly":
@@ -112,23 +126,11 @@ class NCPoly:
             out = out * self
         return out
 
-    def canonicalize(self) -> "NCPoly":
-        return NCPoly(
-            self.preset,
-            {w: cc for w, c in self.terms.items() if not is_zero(c) for cc in [canon(c)]},
-        )
-
     def is_zero(self) -> bool:
         return all(is_zero(c) for c in self.terms.values())
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in sorted(self.terms.items()):
-            wrd = "*".join(w) if w else "1"
-            parts.append(f"({c})*{wrd}")
-        return " + ".join(parts)
+        return _format_terms(self.terms, lambda w: "*".join(w) or "1")
 
     # --------------------------------------------------------- normal ordering
     def _leftmost_reducible(self, word: Word) -> int | None:
@@ -146,15 +148,15 @@ class NCPoly:
     def normal_order(self, max_steps: int = 2_000_000) -> "NCPoly":
         """Unique normal form; two polynomials are equal in the quotient
         algebra iff their normal forms coincide."""
-        done: dict[Word, sp.Expr] = {}
+        done: dict[Word, Coeff] = {}
         frontier = dict(self.terms)
         steps = 0
         while frontier:
-            new: dict[Word, sp.Expr] = {}
+            new: dict[Word, Coeff] = {}
             for word, coeff in frontier.items():
                 i = self._leftmost_reducible(word)
                 if i is None:
-                    done[word] = done.get(word, sp.S.Zero) + coeff
+                    _add_to(done, word, coeff)
                     continue
                 steps += 1
                 if steps > max_steps:
@@ -164,32 +166,34 @@ class NCPoly:
                     )
                 for c, repl in self.preset.rules[(word[i], word[i + 1])]:
                     w = word[:i] + repl + word[i + 2:]
-                    new[w] = new.get(w, sp.S.Zero) + coeff * c
+                    _add_to(new, w, coeff * c)
             frontier = new
-        return NCPoly(self.preset, done).canonicalize()
+        return NCPoly(self.preset, done)
 
     def equals(self, other: "NCPoly") -> bool:
         return (self - other).normal_order().is_zero()
 
 
 # ---------------------------------------------------------------- presets
-def _commuting_block(symbols: Iterable[str]) -> dict[tuple[str, str], tuple[RuleBranch, ...]]:
+def _commuting_block(
+    v: Coeff, symbols: Iterable[str]
+) -> dict[tuple[str, str], tuple[RuleBranch, ...]]:
     """Plain swaps restoring the listed order within a commuting block."""
     symbols = list(symbols)
     rules: dict[tuple[str, str], tuple[RuleBranch, ...]] = {}
     for i, a in enumerate(symbols):
         for b in symbols[:i]:
-            rules[(a, b)] = ((sp.S.One, (b, a)),)
+            rules[(a, b)] = ((canon(1, v), (b, a)),)
     return rules
 
 
 def _node_rules(
-    v: sp.Symbol,
+    v: Coeff,
     cartan: Mapping[tuple[int, int], int],
     nodes: Sequence[int],
 ) -> dict[tuple[str, str], tuple[RuleBranch, ...]]:
     """Simple-generator rules shared by every preset built on Cartan data."""
-    one = sp.S.One
+    one = canon(1, v)
     qcomm = one / (qpow(1, v) - qpow(-1, v))
     rules: dict[tuple[str, str], tuple[RuleBranch, ...]] = {}
     for i in nodes:
@@ -214,13 +218,23 @@ def _node_rules(
     return rules
 
 
-def sl2_preset(v: sp.Symbol = V) -> AlgebraPreset:
+def _rank2_k_block(v: Coeff) -> dict[tuple[str, str], tuple[RuleBranch, ...]]:
+    """Commuting K letters of two nodes, with K_i K_i^{-1} = 1."""
+    one = canon(1, v)
+    rules = _commuting_block(v, ("K1", "K1i", "K2", "K2i"))
+    for i in (1, 2):
+        rules[(f"K{i}", f"K{i}i")] = ((one, ()),)
+        rules[(f"K{i}i", f"K{i}")] = ((one, ()),)
+    return rules
+
+
+def sl2_preset(v: Coeff = V) -> AlgebraPreset:
     symbols = ("F1", "K1", "K1i", "E1")
     rules = _node_rules(v, {(1, 1): 2}, (1,))
     return AlgebraPreset("sl2", symbols, rules, v=v)
 
 
-def sl3_preset(v: sp.Symbol = V) -> AlgebraPreset:
+def sl3_preset(v: Coeff = V) -> AlgebraPreset:
     """Rank-2 simply-laced preset with the non-simple root letters E12, F12.
 
     Straightening rules for the non-simple roots are derived from their
@@ -234,26 +248,22 @@ def sl3_preset(v: sp.Symbol = V) -> AlgebraPreset:
     and mirrored for F.  Adjacencies mixing E12/F12 with opposite-type
     simple generators have no straightening rule and raise.
     """
-    one = sp.S.One
     q, qi = qpow(1, v), qpow(-1, v)
+    minus_i_v = canon(-sp.I, v) * v
     cartan = {(1, 1): 2, (2, 2): 2, (1, 2): -1, (2, 1): -1}
     symbols = ("F2", "F12", "F1", "K1", "K1i", "K2", "K2i", "E2", "E12", "E1")
     rules = _node_rules(v, cartan, (1, 2))
-    rules.update(_commuting_block(("K1", "K1i", "K2", "K2i")))
-    rules[("K1", "K1i")] = ((one, ()),)
-    rules[("K1i", "K1")] = ((one, ()),)
-    rules[("K2", "K2i")] = ((one, ()),)
-    rules[("K2i", "K2")] = ((one, ()),)
+    rules.update(_rank2_k_block(v))
     # Non-simple root letters: K commutation picks up q^{a_i1 + a_i2} = q.
     for i in (1, 2):
         rules[("E12", f"K{i}")] = ((qi, (f"K{i}", "E12")),)
         rules[("E12", f"K{i}i")] = ((q, (f"K{i}i", "E12")),)
         rules[(f"K{i}", "F12")] = ((qi, ("F12", f"K{i}")),)
         rules[(f"K{i}i", "F12")] = ((q, ("F12", f"K{i}i")),)
-    rules[("E1", "E2")] = ((q, ("E2", "E1")), (-sp.I * v, ("E12",)))
+    rules[("E1", "E2")] = ((q, ("E2", "E1")), (minus_i_v, ("E12",)))
     rules[("E1", "E12")] = ((qi, ("E12", "E1")),)
     rules[("E12", "E2")] = ((qi, ("E2", "E12")),)
-    rules[("F1", "F2")] = ((q, ("F2", "F1")), (-sp.I * v, ("F12",)))
+    rules[("F1", "F2")] = ((q, ("F2", "F1")), (minus_i_v, ("F12",)))
     rules[("F1", "F12")] = ((qi, ("F12", "F1")),)
     rules[("F12", "F2")] = ((qi, ("F2", "F12")),)
     forbidden = frozenset(
@@ -262,22 +272,19 @@ def sl3_preset(v: sp.Symbol = V) -> AlgebraPreset:
     return AlgebraPreset("sl3", symbols, rules, v=v, forbidden=forbidden)
 
 
-def commuting_pair_preset(v: sp.Symbol = V) -> AlgebraPreset:
+def commuting_pair_preset(v: Coeff = V) -> AlgebraPreset:
     """Two nodes with zero Cartan pairing: all cross pairs commute."""
+    one = canon(1, v)
     cartan = {(1, 1): 2, (2, 2): 2, (1, 2): 0, (2, 1): 0}
     symbols = ("F1", "F2", "K1", "K1i", "K2", "K2i", "E1", "E2")
     rules = _node_rules(v, cartan, (1, 2))
-    rules.update(_commuting_block(("K1", "K1i", "K2", "K2i")))
-    rules[("K1", "K1i")] = ((sp.S.One, ()),)
-    rules[("K1i", "K1")] = ((sp.S.One, ()),)
-    rules[("K2", "K2i")] = ((sp.S.One, ()),)
-    rules[("K2i", "K2")] = ((sp.S.One, ()),)
-    rules[("F2", "F1")] = ((sp.S.One, ("F1", "F2")),)
-    rules[("E2", "E1")] = ((sp.S.One, ("E1", "E2")),)
+    rules.update(_rank2_k_block(v))
+    rules[("F2", "F1")] = ((one, ("F1", "F2")),)
+    rules[("E2", "E1")] = ((one, ("E1", "E2")),)
     return AlgebraPreset("commuting_pair", symbols, rules, v=v)
 
 
-def qweyl_pair_preset(v: sp.Symbol = V) -> AlgebraPreset:
+def qweyl_pair_preset(v: Coeff = V) -> AlgebraPreset:
     """Two letters with u*v = q^2 * v*u, normal order u before v."""
     symbols = ("u", "v")
     rules = {("v", "u"): ((qpow(-2, v), ("u", "v")),)}
@@ -290,11 +297,12 @@ def nonsimple_root_poly(preset: AlgebraPreset, kind: str) -> NCPoly:
     if kind not in ("E", "F"):
         raise ValueError("kind must be 'E' or 'F'")
     v = preset.v
+    i = canon(sp.I, v)
     return NCPoly(
         preset,
         {
-            (f"{kind}2", f"{kind}1"): -sp.I * v,
-            (f"{kind}1", f"{kind}2"): sp.I / v,
+            (f"{kind}2", f"{kind}1"): -i * v,
+            (f"{kind}1", f"{kind}2"): i / v,
         },
     )
 
@@ -304,10 +312,10 @@ def divided_power(preset: AlgebraPreset, name: str, n: int) -> NCPoly:
     if n < 0:
         raise ValueError("divided power needs n >= 0")
     v = preset.v
-    coeff = sp.S.One
+    coeff = canon(1, v)
     for k in range(1, n + 1):
         coeff *= (qpow(1, v) - qpow(-1, v)) / (qpow(k, v) - qpow(-k, v))
-    return NCPoly(preset, {tuple([name] * n): canon(coeff)})
+    return NCPoly(preset, {tuple([name] * n): coeff})
 
 
 # ---------------------------------------------------------------- tensors
@@ -320,65 +328,71 @@ class NCTensor:
         self,
         preset: AlgebraPreset,
         arity: int,
-        terms: Mapping[tuple[Word, ...], sp.Expr] | None = None,
+        terms: Mapping[tuple[Word, ...], object] | None = None,
     ):
+        """Coefficients are coerced with ``canon``, as in NCPoly."""
         self.preset = preset
         self.arity = arity
-        self.terms: dict[tuple[Word, ...], sp.Expr] = {}
-        if terms:
-            for tw, c in terms.items():
-                if len(tw) != arity:
-                    raise ValueError("tensor word arity mismatch")
-                if c != 0:
-                    self.terms[tuple(tuple(w) for w in tw)] = sp.sympify(c)
+        self.terms: dict[tuple[Word, ...], Coeff] = {}
+        for tw, c in (terms or {}).items():
+            if len(tw) != arity:
+                raise ValueError("tensor word arity mismatch")
+            c = canon(c, preset.v)
+            if not is_zero(c):
+                self.terms[tuple(tuple(w) for w in tw)] = c
 
     @classmethod
     def one(cls, preset: AlgebraPreset, arity: int) -> "NCTensor":
-        return cls(preset, arity, {tuple(() for _ in range(arity)): sp.S.One})
+        return cls(preset, arity, {tuple(() for _ in range(arity)): 1})
 
     def __add__(self, other: "NCTensor") -> "NCTensor":
         out = dict(self.terms)
         for tw, c in other.terms.items():
-            out[tw] = out.get(tw, sp.S.Zero) + c
+            _add_to(out, tw, c)
         return NCTensor(self.preset, self.arity, out)
 
-    def __sub__(self, other: "NCTensor") -> "NCTensor":
-        return self + (other * sp.S.NegativeOne)
+    def __neg__(self) -> "NCTensor":
+        return NCTensor(self.preset, self.arity, {tw: -c for tw, c in self.terms.items()})
 
-    def __mul__(self, other: "NCTensor | sp.Expr | int") -> "NCTensor":
+    def __sub__(self, other: "NCTensor") -> "NCTensor":
+        return self + -other
+
+    def __mul__(self, other: "NCTensor | Coeff | sp.Expr | int") -> "NCTensor":
         if isinstance(other, NCTensor):
-            out: dict[tuple[Word, ...], sp.Expr] = {}
+            out: dict[tuple[Word, ...], Coeff] = {}
             for tw1, c1 in self.terms.items():
                 for tw2, c2 in other.terms.items():
                     tw = tuple(w1 + w2 for w1, w2 in zip(tw1, tw2))
-                    out[tw] = out.get(tw, sp.S.Zero) + c1 * c2
+                    _add_to(out, tw, c1 * c2)
             return NCTensor(self.preset, self.arity, out)
-        coeff = sp.sympify(other)
+        coeff = canon(other, self.preset.v)
         return NCTensor(
             self.preset, self.arity, {tw: c * coeff for tw, c in self.terms.items()}
         )
 
-    def __rmul__(self, other: "sp.Expr | int") -> "NCTensor":
+    def __rmul__(self, other: "Coeff | sp.Expr | int") -> "NCTensor":
         return self * other
+
+    def __repr__(self) -> str:
+        return _format_terms(
+            self.terms, lambda tw: " (x) ".join("*".join(w) or "1" for w in tw)
+        )
 
     def normal_order(self) -> "NCTensor":
         """Normal order every tensor leg independently."""
-        out: dict[tuple[Word, ...], sp.Expr] = {}
+        out: dict[tuple[Word, ...], Coeff] = {}
         for tw, c in self.terms.items():
-            pieces: list[tuple[tuple[Word, ...], sp.Expr]] = [((), c)]
+            pieces: list[tuple[tuple[Word, ...], Coeff]] = [((), c)]
             for leg_word in tw:
-                nf = NCPoly(self.preset, {leg_word: sp.S.One}).normal_order()
+                nf = NCPoly(self.preset, {leg_word: 1}).normal_order()
                 pieces = [
                     (prefix + (w,), cc * c2)
                     for prefix, cc in pieces
                     for w, c2 in nf.terms.items()
                 ]
             for full, cc in pieces:
-                out[full] = out.get(full, sp.S.Zero) + cc
-        cleaned = {tw: canon(c) for tw, c in out.items()}
-        return NCTensor(
-            self.preset, self.arity, {tw: c for tw, c in cleaned.items() if c != 0}
-        )
+                _add_to(out, full, cc)
+        return NCTensor(self.preset, self.arity, out)
 
     def is_zero(self) -> bool:
         return all(is_zero(c) for c in self.terms.values())
@@ -404,11 +418,11 @@ def _coproduct_letter(preset: AlgebraPreset, g: str) -> NCTensor:
         node, kind = g[1:], g[0]
     else:
         raise ValueError(f"coproduct is not defined on {g!r}")
-    terms: dict[tuple[Word, ...], sp.Expr] = {}
+    terms: dict[tuple[Word, ...], int] = {}
     for left, right in _COPRODUCT_SHAPE[kind]:
         lw = tuple(f"{s[0]}{node}{'i' if s.endswith('i') else ''}" for s in left)
         rw = tuple(f"{s[0]}{node}{'i' if s.endswith('i') else ''}" for s in right)
-        terms[(lw, rw)] = terms.get((lw, rw), sp.S.Zero) + sp.S.One
+        terms[(lw, rw)] = terms.get((lw, rw), 0) + 1
     return NCTensor(preset, 2, terms)
 
 
@@ -425,10 +439,10 @@ def coproduct(x: NCPoly) -> NCTensor:
 
 def coproduct_on_leg(t: NCTensor, leg: int) -> NCTensor:
     """Apply the coproduct to one tensor leg, raising the arity by one."""
-    out = NCTensor(t.preset, t.arity + 1)
+    out: dict[tuple[Word, ...], Coeff] = {}
     for tw, c in t.terms.items():
-        inner = coproduct(NCPoly(t.preset, {tw[leg]: sp.S.One}))
+        inner = coproduct(NCPoly(t.preset, {tw[leg]: 1}))
         for (lw, rw), c2 in inner.terms.items():
             new_tw = tw[:leg] + (lw, rw) + tw[leg + 1:]
-            out.terms[new_tw] = out.terms.get(new_tw, sp.S.Zero) + c * c2
-    return out
+            _add_to(out, new_tw, c * c2)
+    return NCTensor(t.preset, t.arity + 1, out)

@@ -152,16 +152,19 @@ def log_gb_strip(
     ymax = float(np.max(np.abs(zs.imag)))
     t, w = _t_grid(p, cfg, delta_neg, delta_pos, ymax)
 
-    pos = t.real >= 0
-    den_pos = np.expm1(-p.b * t[pos]) * np.expm1(-t[pos] / p.b) * t[pos]
-    den_neg = -np.expm1(p.b * t[~pos]) * -np.expm1(t[~pos] / p.b) * t[~pos]
-
-    zt = zs[:, None] * t[None, :]
-    vals = np.empty_like(zt)
     # For t -> +inf rewrite with the denominators pulled out so everything
     # stays bounded: e^{z t}/((1-e^{bt})(1-e^{t/b})) = e^{(z-Q)t}/((e^{-bt}-1)(e^{-t/b}-1)).
-    vals[:, pos] = np.exp(zt[:, pos] - p.Q * t[None, pos]) / den_pos[None, :]
-    vals[:, ~pos] = np.exp(zt[:, ~pos]) / den_neg[None, :]
+    # One len(z) x len(t) matrix, shifted, exponentiated and divided in place.
+    pos = t.real >= 0
+    shift = np.where(pos, p.Q * t, 0.0)
+    den = np.empty_like(t)
+    den[pos] = np.expm1(-p.b * t[pos]) * np.expm1(-t[pos] / p.b) * t[pos]
+    den[~pos] = -np.expm1(p.b * t[~pos]) * -np.expm1(t[~pos] / p.b) * t[~pos]
+
+    vals = np.multiply.outer(zs, t)
+    vals -= shift
+    np.exp(vals, out=vals)
+    vals /= den
 
     integral = vals @ w
     out = np.log(np.conj(p.zeta_b)) - integral

@@ -110,6 +110,26 @@ def test_batch_matches_scalar():
         assert abs(gb(complex(zi), P, CFG) - vi) < 1e-13 * abs(vi)
 
 
+def test_strip_kernel_peak_memory():
+    # The kernel works on one len(z) x len(t) complex matrix in place.
+    import tracemalloc
+
+    from mdlab.qdilog import _t_grid
+
+    rng = np.random.default_rng(11)
+    z = rng.uniform(0.1 * P.Q, 0.9 * P.Q, 1000) + 1j * rng.uniform(-2.0, 2.0, 1000)
+    t, _ = _t_grid(P, CFG, float(z.real.min()), float(P.Q - z.real.max()),
+                   float(np.abs(z.imag).max()))
+    matrix_bytes = z.size * t.size * 16
+    tracemalloc.start()
+    try:
+        log_gb_strip(z, P, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * matrix_bytes, (peak, matrix_bytes)
+
+
 def test_strip_guard():
     with pytest.raises(ValueError):
         log_gb_strip(complex(-0.5, 0.0), P, CFG)
