@@ -105,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--max-N", type=int, dest="max_N", help="symbolic bound N")
     parser.add_argument("--max-M", type=int, dest="max_M", help="symbolic bound M")
-    parser.add_argument("--gl-rank", type=int, choices=(2, 3), dest="gl_rank")
+    parser.add_argument("--gl-rank", type=int, dest="gl_rank",
+                        help="largest N of gl(N), at least 2 (default 3)")
     parser.add_argument("--report", metavar="PATH", help="report file path")
     return parser
 
@@ -151,8 +152,8 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("b, omega1 and omega2 must be positive")
     if cfg.trials < 1:
         raise UsageError("trials must be >= 1")
-    if cfg.gl_rank not in (2, 3):
-        raise UsageError("gl_rank must be 2 or 3")
+    if cfg.gl_rank < 2:
+        raise UsageError("gl_rank must be >= 2")
     if not (0 <= cfg.max_N and 0 <= cfg.max_M):
         raise UsageError("max_N and max_M must be non-negative")
     if cfg.seed < 0 or cfg.seed >= 2**64:

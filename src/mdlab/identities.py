@@ -3,7 +3,9 @@
 Each checker enumerates the pole sequences of its integrand from the known
 pole/zero lattices of G_b, derives the admissible elevation window for the
 integration line, places the contour at the window midpoint, and compares
-the adaptive line integral against the closed-form G_b ratio.
+the adaptive line integral against the closed-form G_b ratio.  The line
+integral runs at the default QuadratureConfig tolerances, and G_b at the
+fixed numerical policy of :mod:`mdlab.qdilog`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .params import BParam
 from .qdilog import gb
-from .quadrature import QuadratureConfig, integrate_line
+from .quadrature import integrate_line
 from .report import CheckReport
 
 
@@ -65,7 +67,6 @@ def verify_tau_binomial(
     alpha: complex,
     beta: complex,
     p: BParam,
-    cfg: QuadratureConfig | None = None,
     tolerance: float = 1e-6,
     offset: float | None = None,
 ) -> CheckReport:
@@ -76,7 +77,6 @@ def verify_tau_binomial(
     integrand two-sided exponential decay.
     """
     start = time.perf_counter()
-    cfg = cfg or QuadratureConfig()
     alpha, beta = complex(alpha), complex(beta)
     if alpha.real <= 0 or beta.real <= 0:
         raise ValueError("Re(alpha) and Re(beta) must be positive")
@@ -90,15 +90,15 @@ def verify_tau_binomial(
     def integrand(tau: np.ndarray) -> np.ndarray:
         return (
             np.exp(-2 * math.pi * p.b * beta * tau)
-            * gb(alpha + 1j * p.b * tau, p, cfg)
-            / gb(p.Q + 1j * p.b * tau, p, cfg)
+            * gb(alpha + 1j * p.b * tau, p)
+            / gb(p.Q + 1j * p.b * tau, p)
         )
 
     # Measure normalization: the integration variable enters the integrand
     # only through b*tau, so the natural measure is d(b*tau); verified
     # numerically to machine precision against the closed form.
-    lhs = p.b * integrate_line(integrand, eps, cfg)
-    rhs = gb(alpha, p, cfg) * gb(beta, p, cfg) / gb(alpha + beta, p, cfg)
+    lhs = p.b * integrate_line(integrand, eps)
+    rhs = gb(alpha, p) * gb(beta, p) / gb(alpha + beta, p)
     return _finish(
         "tau_binomial",
         {"alpha": alpha, "beta": beta, "b": p.b, "offset": eps},
@@ -122,13 +122,11 @@ def verify_45(
     beta: complex,
     gamma: complex,
     p: BParam,
-    cfg: QuadratureConfig | None = None,
     tolerance: float = 1e-6,
     offset: float | None = None,
 ) -> CheckReport:
     """Check the four-term/five-term Gaussian-kernel integral identity."""
     start = time.perf_counter()
-    cfg = cfg or QuadratureConfig()
     alpha, beta, gamma = complex(alpha), complex(beta), complex(gamma)
     for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if v.real <= 0:
@@ -141,19 +139,19 @@ def verify_45(
     def integrand(tau: np.ndarray) -> np.ndarray:
         return (
             np.exp(2j * math.pi * (1j * alpha + tau) * (1j * beta + tau))
-            * gb(alpha - 1j * tau, p, cfg)
-            * gb(beta - 1j * tau, p, cfg)
-            * gb(gamma + 1j * tau, p, cfg)
-            * gb(1j * tau, p, cfg)
+            * gb(alpha - 1j * tau, p)
+            * gb(beta - 1j * tau, p)
+            * gb(gamma + 1j * tau, p)
+            * gb(1j * tau, p)
         )
 
-    lhs = integrate_line(integrand, eps, cfg)
+    lhs = integrate_line(integrand, eps)
     rhs = (
-        gb(alpha, p, cfg)
-        * gb(beta, p, cfg)
-        * gb(alpha + gamma, p, cfg)
-        * gb(beta + gamma, p, cfg)
-        / gb(alpha + beta + gamma, p, cfg)
+        gb(alpha, p)
+        * gb(beta, p)
+        * gb(alpha + gamma, p)
+        * gb(beta + gamma, p)
+        / gb(alpha + beta + gamma, p)
     )
     return _finish(
         "four_five",
@@ -185,7 +183,6 @@ def verify_69(
     C: complex,
     D: complex,
     p: BParam,
-    cfg: QuadratureConfig | None = None,
     tolerance: float = 1e-6,
     offset: float | None = None,
 ) -> CheckReport:
@@ -196,7 +193,6 @@ def verify_69(
     quadrature driver before integrating.
     """
     start = time.perf_counter()
-    cfg = cfg or QuadratureConfig()
     A, B, C, D = complex(A), complex(B), complex(C), complex(D)
     for name, v in (("A", A), ("B", B), ("C", C), ("D", D)):
         if v.real <= 0:
@@ -208,19 +204,19 @@ def verify_69(
     def integrand(tau: np.ndarray) -> np.ndarray:
         return (
             np.exp(2j * math.pi * tau * tau - 2 * math.pi * D * tau)
-            * gb(A + 1j * tau, p, cfg)
-            * gb(B + 1j * tau, p, cfg)
-            * gb(C + 1j * tau, p, cfg)
-            * gb(D - 1j * tau, p, cfg)
-            * gb(-1j * tau, p, cfg)
-            / gb(S + 1j * tau, p, cfg)
+            * gb(A + 1j * tau, p)
+            * gb(B + 1j * tau, p)
+            * gb(C + 1j * tau, p)
+            * gb(D - 1j * tau, p)
+            * gb(-1j * tau, p)
+            / gb(S + 1j * tau, p)
         )
 
-    lhs = integrate_line(integrand, eps, cfg, initial_T=4.0)
+    lhs = integrate_line(integrand, eps, initial_T=4.0)
     rhs = (
-        gb(A, p, cfg) * gb(B, p, cfg) * gb(C, p, cfg)
-        * gb(A + D, p, cfg) * gb(B + D, p, cfg) * gb(C + D, p, cfg)
-        / (gb(A + B + D, p, cfg) * gb(A + C + D, p, cfg) * gb(B + C + D, p, cfg))
+        gb(A, p) * gb(B, p) * gb(C, p)
+        * gb(A + D, p) * gb(B + D, p) * gb(C + D, p)
+        / (gb(A + B + D, p) * gb(A + C + D, p) * gb(B + C + D, p))
     )
     return _finish(
         "six_nine",

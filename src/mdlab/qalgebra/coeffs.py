@@ -29,6 +29,11 @@ V: Coeff = field("v", QQ_I)[1]
 V_TILDE: Coeff = field("w", QQ_I)[1]
 
 
+def _field_name(K) -> str:
+    """A field of rational functions as its domain and symbols: QQ_I(v)."""
+    return f"{K.domain}({', '.join(map(str, K.symbols))})"
+
+
 def canon(x: Coeff | sp.Expr | int, v: Coeff = V) -> Coeff:
     """``x`` as an element of the field generated by ``v``.
 
@@ -39,8 +44,8 @@ def canon(x: Coeff | sp.Expr | int, v: Coeff = V) -> Coeff:
     if isinstance(x, FracElement):
         if x.field != K:
             raise ValueError(
-                f"coefficient {x.as_expr()} lies in the field of {x.field.symbols}, "
-                f"not of {K.symbols}"
+                f"coefficient {x.as_expr()} lies in the field {_field_name(x.field)}, "
+                f"not in {_field_name(K)}"
             )
         return x
     # K(1) would reduce 1/1 again; the unit is already in the field.

@@ -82,10 +82,6 @@ class NCPoly:
     def gen(cls, preset: AlgebraPreset, name: str, coeff: object = 1) -> "NCPoly":
         return cls(preset, {(name,): coeff})
 
-    @classmethod
-    def word(cls, preset: AlgebraPreset, letters: Sequence[str], coeff: object = 1) -> "NCPoly":
-        return cls(preset, {tuple(letters): coeff})
-
     def _check_compatible(self, other: "NCPoly") -> None:
         if self.preset is not other.preset and self.preset != other.preset:
             raise ValueError("polynomials come from different presets")
@@ -169,9 +165,6 @@ class NCPoly:
                     _add_to(new, w, coeff * c)
             frontier = new
         return NCPoly(self.preset, done)
-
-    def equals(self, other: "NCPoly") -> bool:
-        return (self - other).normal_order().is_zero()
 
 
 # ---------------------------------------------------------------- presets
@@ -396,9 +389,6 @@ class NCTensor:
 
     def is_zero(self) -> bool:
         return all(is_zero(c) for c in self.terms.values())
-
-    def equals(self, other: "NCTensor") -> bool:
-        return (self - other).normal_order().is_zero()
 
 
 _COPRODUCT_SHAPE = {

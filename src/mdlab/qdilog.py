@@ -8,6 +8,13 @@ integral representation
 
 with the contour elevated above the third-order singularity at t = 0 and
 below the first poles on the imaginary axis at 2*pi*i*min(b, 1/b).
+
+The numerical policy is fixed, not configurable: the strip is evaluated
+only at distance STRIP_MARGIN = 0.05 or more from its edges, the contour
+sits at Im t = pi*min(b, 1/b)/4, an eighth of the height of the first
+poles, each tail is cut where the integrand's decay bound falls to e^{-40},
+and the cut never lies beyond |t| = 512.
+
 Outside the strip the argument is reduced back into it with the shift
 equation G_b(z + b^{±1}) = (1 - e^{2 pi i b^{±1} z}) G_b(z), accumulating
 the finite product of factors exactly.
@@ -28,14 +35,27 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .params import BParam
-from .quadrature import QuadratureConfig, _leggauss
+from .quadrature import _leggauss
 from .report import CheckReport
 
 TWO_PI_I = 2j * math.pi
 
+#: Minimum distance kept from the edges of the strip 0 < Re z < Q.
+STRIP_MARGIN = 0.05
+
 # Target accuracy of the defining-integral tail truncation; well below the
 # 1e-9 identity tolerances so shift products dominate the error budget.
 _TAIL_LOG = 40.0
+
+# Largest truncation half-width of the defining integral.
+_MAX_T = 512.0
+
+# Rows of z per strip-kernel matrix, so the kernel's memory does not grow
+# with the batch.
+_BLOCK_ROWS = 128
+
+# Sample radii x0 / 2^k, k < _RESIDUE_LEVELS, of the residue extrapolation.
+_RESIDUE_LEVELS = 6
 
 
 class PoleError(ValueError):
@@ -90,12 +110,12 @@ def classify(z: complex, p: BParam, tol: float = 1e-9) -> PoleZeroClass:
     return best[1]
 
 
-def _contour_elevation(p: BParam, cfg: QuadratureConfig) -> float:
-    return 0.5 * min(math.pi * p.b, math.pi / p.b) * cfg.offset_fraction
+def _contour_elevation(p: BParam) -> float:
+    return 0.25 * min(math.pi * p.b, math.pi / p.b)
 
 
 def _t_grid(
-    p: BParam, cfg: QuadratureConfig, delta_neg: float, delta_pos: float, ymax: float
+    p: BParam, delta_neg: float, delta_pos: float, ymax: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre composite grid on the elevated line.
 
@@ -103,7 +123,7 @@ def _t_grid(
     contour elevation) and the e^{i*Im(z)*t} oscillation; the truncation on
     each side comes from the analytic decay rates of the integrand.
     """
-    eps = _contour_elevation(p, cfg)
+    eps = _contour_elevation(p)
     w_max = min(2.0, 8.0 / (1.0 + ymax))
     nodes, weights = _leggauss(24)
 
@@ -115,8 +135,8 @@ def _t_grid(
             w = min(2.0 * w, w_max)
         return edges
 
-    T_pos = min(_TAIL_LOG / delta_pos, cfg.max_T)
-    T_neg = min(_TAIL_LOG / delta_neg, cfg.max_T)
+    T_pos = min(_TAIL_LOG / delta_pos, _MAX_T)
+    T_neg = min(_TAIL_LOG / delta_neg, _MAX_T)
     ts, ws = [], []
     for sign, T in ((1.0, T_pos), (-1.0, T_neg)):
         edges = side_edges(T)
@@ -129,44 +149,46 @@ def _t_grid(
     return t + 1j * eps, w
 
 
-def log_gb_strip(
-    z: complex | np.ndarray, p: BParam, cfg: QuadratureConfig | None = None
-) -> complex | np.ndarray:
-    """log G_b(z) for z strictly inside the strip 0 < Re z < Q.
+def log_gb_strip(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
+    """log G_b(z) for z in the strip STRIP_MARGIN <= Re z <= Q - STRIP_MARGIN.
 
     Accepts a scalar or an array; arrays share one quadrature grid sized for
     the worst decay rate and largest |Im z| in the batch.
     """
-    cfg = cfg or QuadratureConfig()
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     x = zs.real
-    margin = cfg.strip_margin
-    if np.any(x < margin) or np.any(x > p.Q - margin):
-        bad = zs[(x < margin) | (x > p.Q - margin)][0]
+    low, high = STRIP_MARGIN, p.Q - STRIP_MARGIN
+    if np.any(x < low) or np.any(x > high):
+        bad = zs[(x < low) | (x > high)][0]
         raise ValueError(
-            f"z = {bad} is not inside the strip ({margin}, {p.Q - margin}); "
+            f"z = {bad} is not inside the strip ({low}, {high}); "
             "reduce with the shift equation first"
         )
     delta_neg = float(np.min(x))            # decay rate towards t -> -inf
     delta_pos = float(p.Q - np.max(x))      # decay rate towards t -> +inf
     ymax = float(np.max(np.abs(zs.imag)))
-    t, w = _t_grid(p, cfg, delta_neg, delta_pos, ymax)
+    t, w = _t_grid(p, delta_neg, delta_pos, ymax)
 
     # For t -> +inf rewrite with the denominators pulled out so everything
     # stays bounded: e^{z t}/((1-e^{bt})(1-e^{t/b})) = e^{(z-Q)t}/((e^{-bt}-1)(e^{-t/b}-1)).
-    # One len(z) x len(t) matrix, shifted, exponentiated and divided in place.
+    # One block of rows at a time is shifted, exponentiated and divided in
+    # place, so the kernel holds at most _BLOCK_ROWS x len(t) values.
     pos = t.real >= 0
     shift = np.where(pos, p.Q * t, 0.0)
     den = np.empty_like(t)
     den[pos] = np.expm1(-p.b * t[pos]) * np.expm1(-t[pos] / p.b) * t[pos]
     den[~pos] = -np.expm1(p.b * t[~pos]) * -np.expm1(t[~pos] / p.b) * t[~pos]
 
-    vals = np.multiply.outer(zs, t)
-    vals -= shift
-    np.exp(vals, out=vals)
-    vals /= den
-
-    integral = vals @ w
+    integral = np.empty_like(zs)
+    block = np.empty((min(len(zs), _BLOCK_ROWS), len(t)), dtype=complex)
+    for lo in range(0, len(zs), _BLOCK_ROWS):
+        rows = zs[lo:lo + _BLOCK_ROWS]
+        vals = block[:len(rows)]
+        np.multiply.outer(rows, t, out=vals)
+        vals -= shift
+        np.exp(vals, out=vals)
+        vals /= den
+        integral[lo:lo + len(rows)] = vals @ w
     out = np.log(np.conj(p.zeta_b)) - integral
     return out if np.ndim(z) else complex(out[0])
 
@@ -210,15 +232,12 @@ def _apply_steps(z: complex, n: int, s: float) -> tuple[complex, complex]:
     return x, mult
 
 
-def gb(
-    z: complex | np.ndarray, p: BParam, cfg: QuadratureConfig | None = None
-) -> complex | np.ndarray:
+def gb(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
     """G_b(z) anywhere away from the pole lattice.
 
     Zero-lattice points return exactly 0; all other points are reduced into
     the strip and evaluated from the integral representation.
     """
-    cfg = cfg or QuadratureConfig()
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.zeros_like(zs)
     reduced: list[complex] = []
@@ -237,7 +256,7 @@ def gb(
         mults.append(m1 * m2)
         idx.append(i)
     if reduced:
-        logs = log_gb_strip(np.array(reduced), p, cfg)
+        logs = log_gb_strip(np.array(reduced), p)
         out.ravel()[idx] = np.asarray(mults) * np.exp(logs)
     return out if np.ndim(z) else complex(out[0])
 
@@ -256,9 +275,7 @@ def shift_product(z: complex, n1: int, n2: int, p: BParam) -> complex:
     return prod
 
 
-def gb_q_exponential(
-    x: complex, p: BParam, cfg: QuadratureConfig | None = None
-) -> complex:
+def gb_q_exponential(x: complex, p: BParam) -> complex:
     """The q-exponential analog g_b(x) = conj(zeta_b) / G_b(Q/2 + log(x)/(2 pi i b)).
 
     Uses the principal logarithm, so the negative real axis is excluded.
@@ -268,7 +285,7 @@ def gb_q_exponential(
         raise ValueError("g_b is evaluated with the principal log; x must "
                          "avoid the branch cut on the negative real axis")
     arg = p.Q / 2.0 + cmath.log(x) / (TWO_PI_I * p.b)
-    return np.conj(p.zeta_b) / gb(arg, p, cfg)
+    return np.conj(p.zeta_b) / gb(arg, p)
 
 
 def residue_coeff(n1: int, n2: int, p: BParam) -> complex:
@@ -306,10 +323,7 @@ def _nearest_other_pole(n1: int, n2: int, p: BParam) -> float:
     return d
 
 
-def residue_limit(
-    n1: int, n2: int, p: BParam, cfg: QuadratureConfig | None = None,
-    levels: int = 6,
-) -> complex:
+def residue_limit(n1: int, n2: int, p: BParam) -> complex:
     """Richardson-extrapolated limit of x * G_b(x - n1*b - n2/b) as x -> 0.
 
     Independent numerical oracle for :func:`residue_coeff`.  The sample
@@ -318,11 +332,11 @@ def residue_limit(
     """
     shift = -n1 * p.b - n2 / p.b
     x0 = min(0.08, 0.2 * _nearest_other_pole(n1, n2, p))
-    xs = [x0 / 2.0 ** k for k in range(levels)]
-    vals = [x * gb(x + shift, p, cfg) for x in xs]
+    xs = [x0 / 2.0 ** k for k in range(_RESIDUE_LEVELS)]
+    vals = [x * gb(x + shift, p) for x in xs]
     # Neville extrapolation to x = 0.
-    for m in range(1, levels):
-        for i in range(levels - m):
+    for m in range(1, _RESIDUE_LEVELS):
+        for i in range(_RESIDUE_LEVELS - m):
             vals[i] = (xs[i] * vals[i + 1] - xs[i + m] * vals[i]) / (
                 xs[i] - xs[i + m]
             )
@@ -330,8 +344,7 @@ def residue_limit(
 
 
 def check_asymptotics(
-    x: float, T: float, p: BParam, cfg: QuadratureConfig | None = None,
-    tolerance: float = 1e-6,
+    x: float, T: float, p: BParam, tolerance: float = 1e-6
 ) -> CheckReport:
     """Deviation of G_b(x ± iT) from its two asymptotic branches.
 
@@ -341,13 +354,12 @@ def check_asymptotics(
     if not 0 < x < p.Q:
         raise ValueError("x must lie inside the strip (0, Q)")
     start = time.perf_counter()
-    cfg = cfg or QuadratureConfig()
-    upper = gb(complex(x, T), p, cfg)
+    upper = gb(complex(x, T), p)
     dev_up = abs(upper - np.conj(p.zeta_b))
 
     z = complex(x, -T)
     log_pred = cmath.log(p.zeta_b) + 1j * math.pi * z * (z - p.Q)
-    dev_down = abs(cmath.exp(log_gb_strip(z, p, cfg) - log_pred) - 1.0)
+    dev_down = abs(cmath.exp(log_gb_strip(z, p) - log_pred) - 1.0)
 
     dev = max(dev_up, dev_down)
     return CheckReport(

@@ -30,27 +30,27 @@ class NonConvergenceError(QuadratureError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and contour policy for line integrals.
+    """Tolerances of :func:`integrate_line`.
 
     abs_tol / rel_tol bound the quadrature error of the final estimate;
-    max_T caps the truncation half-width; strip_margin is the minimum
-    distance kept from the boundary of the evaluation strip of the quantum
-    dilogarithm; offset_fraction scales the default elevation of its
-    defining integral.
+    max_T caps the truncation half-width; max_refinements caps the number
+    of panel bisections.
     """
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-10
     max_T: float = 512.0
     max_refinements: int = 4000
-    strip_margin: float = 0.05
-    offset_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
+
+
+# Equal panels on [-T, T] before adaptive bisection starts.
+_INITIAL_PANELS = 16
 
 
 @lru_cache(maxsize=None)
@@ -116,9 +116,8 @@ def _choose_truncation(
 def integrate_line(
     f: Callable[[np.ndarray], np.ndarray],
     offset: float,
-    cfg: QuadratureConfig,
+    cfg: QuadratureConfig = QuadratureConfig(),
     initial_T: float = 8.0,
-    initial_panels: int = 16,
 ) -> complex:
     """Integrate ``f`` over the line Im(tau) = offset.
 
@@ -128,7 +127,7 @@ def integrate_line(
     the error estimator.
     """
     T = _choose_truncation(f, offset, cfg, initial_T)
-    edges = np.linspace(-T, T, initial_panels + 1)
+    edges = np.linspace(-T, T, _INITIAL_PANELS + 1)
 
     panels: list[tuple[float, float, complex, float]] = []
     for a, b in zip(edges[:-1], edges[1:]):

@@ -30,6 +30,9 @@ Gamma = dict[GZIndex, complex]
 #: |sinh(x + iy)| >= sinh(|x|).
 ROW_SEPARATION = 0.1
 
+# Draws sample_point makes before it gives up on a separated point.
+_MAX_REJECTIONS = 100
+
 MAX_TERMS = 20_000
 
 
@@ -233,9 +236,9 @@ class TestFunction:
         return cls(lin, quad)
 
 
-def sample_point(N: int, rng: np.random.Generator, max_rejections: int = 100) -> Gamma:
+def sample_point(N: int, rng: np.random.Generator) -> Gamma:
     """Random real configuration with within-row separation >= 0.1."""
-    for _ in range(max_rejections):
+    for _ in range(_MAX_REJECTIONS):
         g = {idx: complex(rng.uniform(-2.0, 2.0)) for idx in gz_indices(N)}
         ok = all(
             abs(g[(n, i)].real - g[(n, j)].real) >= ROW_SEPARATION

@@ -21,7 +21,6 @@ from .qdilog import (
     residue_limit,
     shift_product,
 )
-from .quadrature import QuadratureConfig
 from .report import CheckReport
 from .identities import verify_45, verify_69, verify_tau_binomial
 from .qalgebra import (
@@ -37,6 +36,15 @@ from .qalgebra import (
 from . import repcheck
 
 DEFAULT_B_VALUES = (0.7, 0.83, 1.2)
+
+# Heights T of the asymptotic checks G_b(Q/2 ± iT).
+_ASYMPTOTIC_T = (8.0, 10.0, 14.0)
+
+# Bounds of the symbolic suite beyond the Kac identity: Serre sums with
+# N + M <= 5, q-binomial expansions up to N = 6, mixed commutators up to m = 4.
+_SERRE_BOUND = 5
+_QBINOMIAL_BOUND = 6
+_MIXED_BOUND = 4
 
 
 def _strip_grid(p: BParam, n_points: int) -> np.ndarray:
@@ -58,20 +66,18 @@ def check_functional_equation(
     n_points: int = 100,
     max_shift: int = 3,
     tolerance: float = 1e-9,
-    cfg: QuadratureConfig | None = None,
 ) -> CheckReport:
     """G_b(z + n1*b + n2/b) = (finite shift product) * G_b(z) over a grid."""
     start = time.perf_counter()
     p = BParam(b)
-    cfg = cfg or QuadratureConfig()
     z = _strip_grid(p, n_points)
-    base = gb(z, p, cfg)
+    base = gb(z, p)
     worst = 0.0
     for n1 in range(max_shift + 1):
         for n2 in range(max_shift + 1):
             if n1 == n2 == 0:
                 continue
-            shifted = gb(z + n1 * p.b + n2 / p.b, p, cfg)
+            shifted = gb(z + n1 * p.b + n2 / p.b, p)
             prods = np.array([shift_product(zi, n1, n2, p) for zi in z])
             worst = max(worst, _max_rel_err(shifted, prods * base))
     return CheckReport(
@@ -84,17 +90,13 @@ def check_functional_equation(
 
 
 def check_reflection(
-    b: float,
-    n_points: int = 100,
-    tolerance: float = 1e-9,
-    cfg: QuadratureConfig | None = None,
+    b: float, n_points: int = 100, tolerance: float = 1e-9
 ) -> CheckReport:
     """G_b(z) G_b(Q - z) = e^{pi i z (z - Q)} over a grid."""
     start = time.perf_counter()
     p = BParam(b)
-    cfg = cfg or QuadratureConfig()
     z = _strip_grid(p, n_points)
-    lhs = gb(z, p, cfg) * gb(p.Q - z, p, cfg)
+    lhs = gb(z, p) * gb(p.Q - z, p)
     rhs = np.exp(1j * math.pi * z * (z - p.Q))
     worst = _max_rel_err(lhs, rhs)
     return CheckReport(
@@ -106,19 +108,16 @@ def check_reflection(
     )
 
 
-def check_special_values(
-    b: float, tolerance: float = 1e-8, cfg: QuadratureConfig | None = None
-) -> CheckReport:
+def check_special_values(b: float, tolerance: float = 1e-8) -> CheckReport:
     """G_b(b) = -i*b, G_b(1/b) = -i/b, and G_b(Q) = 0 by classification."""
     start = time.perf_counter()
     p = BParam(b)
-    cfg = cfg or QuadratureConfig()
     errs = [
-        abs(gb(p.b, p, cfg) - (-1j * p.b)) / p.b,
-        abs(gb(1.0 / p.b, p, cfg) - (-1j / p.b)) * p.b,
+        abs(gb(p.b, p) - (-1j * p.b)) / p.b,
+        abs(gb(1.0 / p.b, p) - (-1j / p.b)) * p.b,
     ]
     zero_ok = (
-        classify(p.Q, p).kind == "zero" and gb(complex(p.Q), p, cfg) == 0.0
+        classify(p.Q, p).kind == "zero" and gb(complex(p.Q), p) == 0.0
     )
     worst = max(errs) if zero_ok else math.inf
     return CheckReport(
@@ -132,18 +131,16 @@ def check_special_values(
 
 
 def check_residues(
-    b: float, max_n: int = 2, tolerance: float = 1e-4,
-    cfg: QuadratureConfig | None = None,
+    b: float, max_n: int = 2, tolerance: float = 1e-4
 ) -> CheckReport:
     """Extrapolated pole limits against the closed-form residue products."""
     start = time.perf_counter()
     p = BParam(b)
-    cfg = cfg or QuadratureConfig()
     worst = 0.0
     for n1 in range(max_n + 1):
         for n2 in range(max_n + 1):
             closed = residue_coeff(n1, n2, p)
-            numeric = residue_limit(n1, n2, p, cfg)
+            numeric = residue_limit(n1, n2, p)
             worst = max(worst, abs(numeric - closed) / abs(closed))
     return CheckReport(
         identity_id="residues",
@@ -156,8 +153,6 @@ def check_residues(
 
 def qdilog_suite(
     b_values: tuple[float, ...] = DEFAULT_B_VALUES,
-    asymptotic_T: tuple[float, ...] = (8.0, 10.0, 14.0),
-    cfg: QuadratureConfig | None = None,
     tolerance: float | None = None,
 ) -> list[CheckReport]:
     """Functional equations, reflection, special values, residues and
@@ -166,13 +161,13 @@ def qdilog_suite(
     reports = []
     tol = tolerance if tolerance is not None else 1e-9
     for b in b_values:
-        reports.append(check_functional_equation(b, tolerance=tol, cfg=cfg))
-        reports.append(check_reflection(b, tolerance=tol, cfg=cfg))
-        reports.append(check_special_values(b, cfg=cfg))
-        reports.append(check_residues(b, cfg=cfg))
+        reports.append(check_functional_equation(b, tolerance=tol))
+        reports.append(check_reflection(b, tolerance=tol))
+        reports.append(check_special_values(b))
+        reports.append(check_residues(b))
     p = BParam(b_values[0] if len(b_values) == 1 else 0.83)
-    for T in asymptotic_T:
-        reports.append(check_asymptotics(p.Q / 2.0, T, p, cfg))
+    for T in _ASYMPTOTIC_T:
+        reports.append(check_asymptotics(p.Q / 2.0, T, p))
     return reports
 
 
@@ -198,50 +193,40 @@ _SIX_NINE_SETS = (
 def integrals_suite(
     b: float = 0.83,
     tolerance: float = 1e-6,
-    cfg: QuadratureConfig | None = None,
     tau_binomial_b_values: tuple[float, ...] = (0.7, 1.2),
 ) -> list[CheckReport]:
     """All three contour-integral identities over several parameter sets."""
-    cfg = cfg or QuadratureConfig()
     reports = []
     for bb in tuple(dict.fromkeys((b,) + tau_binomial_b_values)):
         p = BParam(bb)
         for fa, fb in _TAU_BINOMIAL_SETS:
             reports.append(
-                verify_tau_binomial(fa * p.Q, fb * p.Q, p, cfg, tolerance)
+                verify_tau_binomial(fa * p.Q, fb * p.Q, p, tolerance)
             )
     p = BParam(b)
     for fa, fb, fc in _FOUR_FIVE_SETS:
-        reports.append(verify_45(fa * p.Q, fb * p.Q, fc * p.Q, p, cfg, tolerance))
+        reports.append(verify_45(fa * p.Q, fb * p.Q, fc * p.Q, p, tolerance))
     for fa, fb, fc, fd in _SIX_NINE_SETS:
         reports.append(
-            verify_69(fa * p.Q, fb * p.Q, fc * p.Q, fd * p.Q, p, cfg, tolerance)
+            verify_69(fa * p.Q, fb * p.Q, fc * p.Q, fd * p.Q, p, tolerance)
         )
     return reports
 
 
-def symbolic_suite(
-    max_N: int = 4,
-    max_M: int = 4,
-    serre_bound: int = 5,
-    qbinomial_bound: int = 6,
-    mixed_bound: int = 4,
-    dual_variable: bool = True,
-) -> list[CheckReport]:
+def symbolic_suite(max_N: int = 4, max_M: int = 4) -> list[CheckReport]:
     """Every exact symbolic identity, plus dual-variable re-runs."""
     reports = []
-    variables = (V, V_TILDE) if dual_variable else (V,)
-    for v in variables:
+    for v in (V, V_TILDE):
         for N in range(max_N + 1):
             for M in range(max_M + 1):
                 reports.append(verify_kac(N, M, v))
-        for m in range(1, mixed_bound + 1):
+        for m in range(1, _MIXED_BOUND + 1):
             reports.append(verify_mixed_commutators(m, v))
-        for N in range(serre_bound + 1):
-            for M in range(serre_bound + 1 - N):
+        for N in range(_SERRE_BOUND + 1):
+            for M in range(_SERRE_BOUND + 1 - N):
                 reports.append(verify_serre_sum(N, M, v))
         reports.append(verify_commuting_cases(v))
-        for N in range(qbinomial_bound + 1):
+        for N in range(_QBINOMIAL_BOUND + 1):
             reports.append(verify_qbinomial(N, v))
         reports.append(verify_coproduct_hom(v))
     return reports
@@ -257,8 +242,6 @@ def representation_suite(
 ) -> list[CheckReport]:
     """Full relation catalogue of the difference-operator representation
     for N = 2 up to gl_rank."""
-    if gl_rank not in (2, 3):
-        raise ValueError("gl_rank must be 2 or 3")
     p = OmegaParams(omega1, omega2)
     reports = []
     for N in range(2, gl_rank + 1):

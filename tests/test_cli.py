@@ -89,6 +89,7 @@ def test_validation_errors():
 def test_usage_exit_codes(capsys):
     assert main(["--b", "-1"]) == EXIT_USAGE
     assert main(["--workers", "2"]) == EXIT_USAGE
+    assert main(["--gl-rank", "1"]) == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:
         parse_config(["--no-such-flag"])
     assert exc.value.code == 2
@@ -125,6 +126,16 @@ def test_report_dir_env(tmp_path, monkeypatch):
     cfg = RunConfig(suites=["representation"], gl_rank=2, trials=2)
     assert run(cfg, out=io.StringIO()) == EXIT_OK
     assert (tmp_path / "sub" / "mdlab_report.json").exists()
+
+
+def test_gl_rank_beyond_three(tmp_path):
+    cfg = RunConfig(
+        suites=["representation"], gl_rank=4, trials=1,
+        report_path=str(tmp_path / "rep.json"),
+    )
+    assert run(cfg, out=io.StringIO()) == EXIT_OK
+    payload = json.loads((tmp_path / "rep.json").read_text())
+    assert {c["params"]["N"] for c in payload["checks"]} == {2, 3, 4}
 
 
 def _numeric_part(payload):

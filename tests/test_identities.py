@@ -12,15 +12,13 @@ from mdlab.identities import (
     verify_tau_binomial,
 )
 from mdlab.params import BParam
-from mdlab.quadrature import QuadratureConfig
 from mdlab.report import CheckReport
 
 P = BParam(0.83)
-CFG = QuadratureConfig()
 
 
 def test_tau_binomial_passes():
-    rep = verify_tau_binomial(0.3 * P.Q, 0.3 * P.Q, P, CFG)
+    rep = verify_tau_binomial(0.3 * P.Q, 0.3 * P.Q, P)
     assert rep.passed and rep.rel_error < 1e-10
 
 
@@ -30,7 +28,7 @@ def test_tau_binomial_contour_shift_invariance():
     vals = []
     for frac in (0.35, 0.5, 0.65):
         off = low + frac * (high - low)
-        rep = verify_tau_binomial(0.3 * P.Q, 0.3 * P.Q, P, CFG, offset=off)
+        rep = verify_tau_binomial(0.3 * P.Q, 0.3 * P.Q, P, offset=off)
         vals.append(rep.lhs)
         assert rep.passed
     for v in vals[1:]:
@@ -38,26 +36,26 @@ def test_tau_binomial_contour_shift_invariance():
 
 
 def test_tau_binomial_complex_parameters():
-    rep = verify_tau_binomial(0.3 * P.Q + 0.05j, 0.25 * P.Q - 0.04j, P, CFG)
+    rep = verify_tau_binomial(0.3 * P.Q + 0.05j, 0.25 * P.Q - 0.04j, P)
     assert rep.passed
 
 
 def test_tau_binomial_preconditions():
     with pytest.raises(ValueError):
-        verify_tau_binomial(-0.1, 0.3, P, CFG)
+        verify_tau_binomial(-0.1, 0.3, P)
     with pytest.raises(ValueError):
-        verify_tau_binomial(0.6 * P.Q, 0.6 * P.Q, P, CFG)
+        verify_tau_binomial(0.6 * P.Q, 0.6 * P.Q, P)
 
 
 def test_four_five_passes():
-    rep = verify_45(0.25 * P.Q, 0.25 * P.Q, 0.25 * P.Q, P, CFG)
+    rep = verify_45(0.25 * P.Q, 0.25 * P.Q, 0.25 * P.Q, P)
     assert rep.passed and rep.rel_error < 1e-10
 
 
 def test_four_five_offset_invariance():
     low, high = four_five_window(complex(0.25 * P.Q), complex(0.25 * P.Q), P)
     reps = [
-        verify_45(0.25 * P.Q, 0.25 * P.Q, 0.25 * P.Q, P, CFG,
+        verify_45(0.25 * P.Q, 0.25 * P.Q, 0.25 * P.Q, P,
                   offset=low + f * (high - low))
         for f in (0.4, 0.6)
     ]
@@ -67,11 +65,11 @@ def test_four_five_offset_invariance():
 
 def test_four_five_preconditions():
     with pytest.raises(ValueError):
-        verify_45(0.4 * P.Q, 0.4 * P.Q, 0.4 * P.Q, P, CFG)
+        verify_45(0.4 * P.Q, 0.4 * P.Q, 0.4 * P.Q, P)
 
 
 def test_six_nine_passes():
-    rep = verify_69(0.2 * P.Q, 0.2 * P.Q, 0.2 * P.Q, 0.2 * P.Q, P, CFG)
+    rep = verify_69(0.2 * P.Q, 0.2 * P.Q, 0.2 * P.Q, 0.2 * P.Q, P)
     assert rep.passed and rep.rel_error < 1e-10
 
 
@@ -82,19 +80,19 @@ def test_six_nine_window_closes():
     low, high = six_nine_window(complex(A), complex(B), complex(C), complex(D), P)
     assert low >= high
     with pytest.raises(ContourPlacementError):
-        verify_69(A, B, C, D, P, CFG)
+        verify_69(A, B, C, D, P)
 
 
 def test_other_b_values():
     for b in (0.7, 1.2):
         p = BParam(b)
-        assert verify_tau_binomial(0.3 * p.Q, 0.3 * p.Q, p, CFG).passed
-        assert verify_45(0.2 * p.Q, 0.3 * p.Q, 0.2 * p.Q, p, CFG).passed
-        assert verify_69(0.2 * p.Q, 0.22 * p.Q, 0.18 * p.Q, 0.2 * p.Q, p, CFG).passed
+        assert verify_tau_binomial(0.3 * p.Q, 0.3 * p.Q, p).passed
+        assert verify_45(0.2 * p.Q, 0.3 * p.Q, 0.2 * p.Q, p).passed
+        assert verify_69(0.2 * p.Q, 0.22 * p.Q, 0.18 * p.Q, 0.2 * p.Q, p).passed
 
 
 def test_report_fields():
-    rep = verify_tau_binomial(0.3 * P.Q, 0.3 * P.Q, P, CFG)
+    rep = verify_tau_binomial(0.3 * P.Q, 0.3 * P.Q, P)
     d = rep.to_dict()
     assert d["identity_id"] == "tau_binomial"
     assert {"alpha", "beta", "b", "offset"} <= set(d["params"])
