@@ -1,17 +1,22 @@
 """Direct numerical verification of the scalar contour-integral identities.
 
-Each checker enumerates the pole sequences of its integrand from the known
-pole/zero lattices of G_b, derives the admissible elevation window for the
-integration line, places the contour at the window midpoint, and compares
-the adaptive line integral against the closed-form G_b ratio.  The line
-integral runs at the default QuadratureConfig tolerances, and G_b at the
-fixed numerical policy of :mod:`mdlab.qdilog`.
+Each checker derives the admissible elevation window (low, high) for its
+line Im(tau) = offset from the pole/zero lattices of G_b, and states its
+integrand (a phase times a G_b ratio) and closed form (a G_b ratio) as G_b
+argument lists.  One driver places the line, integrates at the default
+QuadratureConfig and compares.  Placement rule: the line sits at the window
+midpoint unless an offset is given, which must lie inside the window by at
+least 5% of its width at each end; an empty window or any other offset
+raises :class:`ContourPlacementError`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -20,35 +25,67 @@ from .qdilog import gb
 from .quadrature import integrate_line
 from .report import CheckReport
 
+#: Share of the window's width an explicit offset keeps from each end.
+PLACEMENT_MARGIN = 0.05
+
 
 class ContourPlacementError(ValueError):
-    """No admissible elevation window exists for the given parameters."""
+    """The elevation window is empty, or an explicit offset lies outside it
+    or within 5% of its width of either end, next to a pole sequence."""
 
 
-def _window_midpoint(low: float, high: float, what: str) -> float:
-    if not low < high:
-        raise ContourPlacementError(
-            f"{what}: empty contour window ({low:.4f}, {high:.4f}); "
-            "choose parameters with positive real parts summing below Q"
-        )
-    return 0.5 * (low + high)
+def _gb_ratio(numerator: list, denominator: list, p: BParam, phase=None):
+    """phase * G_b(n_1) * ... * G_b(n_k) / (G_b(d_1) * ... * G_b(d_m)),
+    one gb call per argument, multiplied from left to right."""
+    values = [gb(z, p) for z in numerator]
+    value = functools.reduce(operator.mul, values if phase is None else [phase, *values])
+    if denominator:
+        value = value / functools.reduce(operator.mul, [gb(z, p) for z in denominator])
+    return value
 
 
-def _finish(
+def _check(
     identity_id: str,
     params: dict,
-    lhs: complex,
-    rhs: complex,
+    p: BParam,
     tolerance: float,
-    start: float,
+    offset: float | None,
+    window: tuple[float, float],
+    integrand: Callable[[np.ndarray], tuple[np.ndarray, list, list]],
+    closed_form: tuple[list, list],
+    measure: float = 1.0,
+    initial_T: float = 8.0,
 ) -> CheckReport:
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    """Place the line, integrate ``integrand`` (phase, numerator and
+    denominator G_b arguments at tau) against ``measure`` d(tau), and score
+    it against the G_b ratio ``closed_form``."""
+    start = time.perf_counter()
+    low, high = window
+    if not low < high:
+        raise ContourPlacementError(
+            f"{identity_id}: empty contour window ({low:.4f}, {high:.4f}); "
+            "choose parameters with positive real parts summing below Q"
+        )
+    eps = 0.5 * (low + high) if offset is None else offset
+    margin = PLACEMENT_MARGIN * (high - low)
+    if not low + margin <= eps <= high - margin:
+        raise ContourPlacementError(
+            f"{identity_id}: offset {eps} must keep {PLACEMENT_MARGIN:.0%} of the width "
+            f"of the window ({low:.4f}, {high:.4f}) from each end"
+        )
+
+    def f(tau: np.ndarray) -> np.ndarray:
+        phase, numerator, denominator = integrand(tau)
+        return _gb_ratio(numerator, denominator, p, phase)
+
+    lhs = measure * integrate_line(f, eps, initial_T=initial_T)
+    rhs = _gb_ratio(*closed_form, p)
     return CheckReport(
         identity_id=identity_id,
-        params=params,
+        params={**params, "offset": eps},
         lhs=lhs,
         rhs=rhs,
-        rel_error=rel,
+        rel_error=abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300),
         tolerance=tolerance,
         wall_time=time.perf_counter() - start,
     )
@@ -76,36 +113,23 @@ def verify_tau_binomial(
     place the pole sequences on opposite sides of the window and give the
     integrand two-sided exponential decay.
     """
-    start = time.perf_counter()
     alpha, beta = complex(alpha), complex(beta)
     if alpha.real <= 0 or beta.real <= 0:
         raise ValueError("Re(alpha) and Re(beta) must be positive")
     if (alpha + beta).real >= p.Q:
         raise ValueError("Re(alpha + beta) must be below Q for decay")
-    low, high = tau_binomial_window(alpha, p)
-    eps = offset if offset is not None else _window_midpoint(low, high, "tau_binomial")
-    if not low + 0.1 * (high - low) / 2 < eps < high:
-        raise ContourPlacementError(f"offset {eps} too close to a pole sequence")
 
-    def integrand(tau: np.ndarray) -> np.ndarray:
-        return (
-            np.exp(-2 * math.pi * p.b * beta * tau)
-            * gb(alpha + 1j * p.b * tau, p)
-            / gb(p.Q + 1j * p.b * tau, p)
-        )
+    def integrand(tau: np.ndarray):
+        phase = np.exp(-2 * math.pi * p.b * beta * tau)
+        return phase, [alpha + 1j * p.b * tau], [p.Q + 1j * p.b * tau]
 
     # Measure normalization: the integration variable enters the integrand
     # only through b*tau, so the natural measure is d(b*tau); verified
     # numerically to machine precision against the closed form.
-    lhs = p.b * integrate_line(integrand, eps)
-    rhs = gb(alpha, p) * gb(beta, p) / gb(alpha + beta, p)
-    return _finish(
-        "tau_binomial",
-        {"alpha": alpha, "beta": beta, "b": p.b, "offset": eps},
-        lhs,
-        rhs,
-        tolerance,
-        start,
+    return _check(
+        "tau_binomial", {"alpha": alpha, "beta": beta, "b": p.b}, p, tolerance, offset,
+        tau_binomial_window(alpha, p), integrand, ([alpha, beta], [alpha + beta]),
+        measure=p.b,
     )
 
 
@@ -126,40 +150,21 @@ def verify_45(
     offset: float | None = None,
 ) -> CheckReport:
     """Check the four-term/five-term Gaussian-kernel integral identity."""
-    start = time.perf_counter()
     alpha, beta, gamma = complex(alpha), complex(beta), complex(gamma)
     for name, v in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if v.real <= 0:
             raise ValueError(f"Re({name}) must be positive")
     if (alpha + beta + gamma).real >= p.Q:
         raise ValueError("Re(alpha + beta + gamma) must be below Q for decay")
-    low, high = four_five_window(alpha, beta, p)
-    eps = offset if offset is not None else _window_midpoint(low, high, "four_five")
 
-    def integrand(tau: np.ndarray) -> np.ndarray:
-        return (
-            np.exp(2j * math.pi * (1j * alpha + tau) * (1j * beta + tau))
-            * gb(alpha - 1j * tau, p)
-            * gb(beta - 1j * tau, p)
-            * gb(gamma + 1j * tau, p)
-            * gb(1j * tau, p)
-        )
+    def integrand(tau: np.ndarray):
+        phase = np.exp(2j * math.pi * (1j * alpha + tau) * (1j * beta + tau))
+        return phase, [alpha - 1j * tau, beta - 1j * tau, gamma + 1j * tau, 1j * tau], []
 
-    lhs = integrate_line(integrand, eps)
-    rhs = (
-        gb(alpha, p)
-        * gb(beta, p)
-        * gb(alpha + gamma, p)
-        * gb(beta + gamma, p)
-        / gb(alpha + beta + gamma, p)
-    )
-    return _finish(
-        "four_five",
-        {"alpha": alpha, "beta": beta, "gamma": gamma, "b": p.b, "offset": eps},
-        lhs,
-        rhs,
-        tolerance,
-        start,
+    return _check(
+        "four_five", {"alpha": alpha, "beta": beta, "gamma": gamma, "b": p.b},
+        p, tolerance, offset, four_five_window(alpha, beta, p), integrand,
+        ([alpha, beta, alpha + gamma, beta + gamma], [alpha + beta + gamma]),
     )
 
 
@@ -192,37 +197,20 @@ def verify_69(
     leaving e^{-2 pi Q |tau|} decay; this is validated numerically by the
     quadrature driver before integrating.
     """
-    start = time.perf_counter()
     A, B, C, D = complex(A), complex(B), complex(C), complex(D)
     for name, v in (("A", A), ("B", B), ("C", C), ("D", D)):
         if v.real <= 0:
             raise ValueError(f"Re({name}) must be positive")
-    low, high = six_nine_window(A, B, C, D, p)
-    eps = offset if offset is not None else _window_midpoint(low, high, "six_nine")
     S = A + B + C + D
 
-    def integrand(tau: np.ndarray) -> np.ndarray:
-        return (
-            np.exp(2j * math.pi * tau * tau - 2 * math.pi * D * tau)
-            * gb(A + 1j * tau, p)
-            * gb(B + 1j * tau, p)
-            * gb(C + 1j * tau, p)
-            * gb(D - 1j * tau, p)
-            * gb(-1j * tau, p)
-            / gb(S + 1j * tau, p)
-        )
+    def integrand(tau: np.ndarray):
+        phase = np.exp(2j * math.pi * tau * tau - 2 * math.pi * D * tau)
+        numerator = [A + 1j * tau, B + 1j * tau, C + 1j * tau, D - 1j * tau, -1j * tau]
+        return phase, numerator, [S + 1j * tau]
 
-    lhs = integrate_line(integrand, eps, initial_T=4.0)
-    rhs = (
-        gb(A, p) * gb(B, p) * gb(C, p)
-        * gb(A + D, p) * gb(B + D, p) * gb(C + D, p)
-        / (gb(A + B + D, p) * gb(A + C + D, p) * gb(B + C + D, p))
-    )
-    return _finish(
-        "six_nine",
-        {"A": A, "B": B, "C": C, "D": D, "b": p.b, "offset": eps},
-        lhs,
-        rhs,
-        tolerance,
-        start,
+    return _check(
+        "six_nine", {"A": A, "B": B, "C": C, "D": D, "b": p.b},
+        p, tolerance, offset, six_nine_window(A, B, C, D, p), integrand,
+        ([A, B, C, A + D, B + D, C + D], [A + B + D, A + C + D, B + C + D]),
+        initial_T=4.0,
     )

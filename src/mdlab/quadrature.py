@@ -129,11 +129,12 @@ def integrate_line(
     T = _choose_truncation(f, offset, cfg, initial_T)
     edges = np.linspace(-T, T, _INITIAL_PANELS + 1)
 
-    panels: list[tuple[float, float, complex, float]] = []
-    for a, b in zip(edges[:-1], edges[1:]):
+    def panel(a: float, b: float) -> tuple[float, float, complex, float]:
         coarse = _panel_values(f, a, b, offset, 20)
         fine = _panel_values(f, a, b, offset, 30)
-        panels.append((a, b, fine, abs(fine - coarse)))
+        return a, b, fine, abs(fine - coarse)
+
+    panels = [panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
     for _ in range(cfg.max_refinements):
         total = sum(p[2] for p in panels)
@@ -144,10 +145,7 @@ def integrate_line(
         worst = max(range(len(panels)), key=lambda i: panels[i][3])
         a, b, _, _ = panels.pop(worst)
         m = 0.5 * (a + b)
-        for lo, hi in ((a, m), (m, b)):
-            coarse = _panel_values(f, lo, hi, offset, 20)
-            fine = _panel_values(f, lo, hi, offset, 30)
-            panels.append((lo, hi, fine, abs(fine - coarse)))
+        panels += [panel(a, m), panel(m, b)]
 
     raise NonConvergenceError(
         f"line integral did not converge after {cfg.max_refinements} refinements "

@@ -40,6 +40,12 @@ class RepresentationError(ValueError):
     pass
 
 
+def require_rank(N: int) -> None:
+    """Reject N < 2, where no relation of the catalogue has index pairs."""
+    if N < 2:
+        raise RepresentationError(f"need N >= 2, got N = {N}")
+
+
 def gz_indices(N: int) -> list[GZIndex]:
     return [(n, j) for n in range(1, N + 1) for j in range(1, n + 1)]
 
@@ -71,10 +77,6 @@ class ShiftOperator:
     @classmethod
     def identity(cls) -> "ShiftOperator":
         return cls((ShiftTerm(lambda g: 1.0),))
-
-    @classmethod
-    def zero(cls) -> "ShiftOperator":
-        return cls(())
 
     def __add__(self, other: "ShiftOperator") -> "ShiftOperator":
         return ShiftOperator(self.terms + other.terms)
@@ -111,8 +113,9 @@ def compose(A: ShiftOperator, B: ShiftOperator, p: OmegaParams) -> ShiftOperator
 
 
 def compose_all(ops: list[ShiftOperator], p: OmegaParams) -> ShiftOperator:
-    acc = ShiftOperator.identity()
-    for op in ops:
+    """The product ops[0] ops[1] ... ops[-1] of a non-empty list."""
+    acc = ops[0]
+    for op in ops[1:]:
         acc = compose(acc, op, p)
     return acc
 
@@ -391,8 +394,7 @@ def verify_relation(
     zero identically are still scored relative to the size of what
     cancelled."""
     start = time.perf_counter()
-    if N < 2:
-        raise RepresentationError("need N >= 2")
+    require_rank(N)
     pairs = relation_index_pairs(rel_id, N)
     worst = 0.0
     worst_at = None
@@ -438,6 +440,7 @@ def verify_all(
     tolerance: float = 1e-8,
 ) -> list[CheckReport]:
     """Run every relation of the catalogue that has index pairs at this N."""
+    require_rank(N)
     reports = []
     for rel_id in ALL_RELATIONS:
         if relation_index_pairs(rel_id, N):

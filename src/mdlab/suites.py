@@ -241,7 +241,8 @@ def representation_suite(
     tolerance: float = 1e-8,
 ) -> list[CheckReport]:
     """Full relation catalogue of the difference-operator representation
-    for N = 2 up to gl_rank."""
+    for N = 2 up to gl_rank; gl_rank below 2 raises RepresentationError."""
+    repcheck.require_rank(gl_rank)
     p = OmegaParams(omega1, omega2)
     reports = []
     for N in range(2, gl_rank + 1):

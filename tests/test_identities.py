@@ -83,6 +83,44 @@ def test_six_nine_window_closes():
         verify_69(A, B, C, D, P)
 
 
+# Each identity with the parameters of its *_passes test and its window.
+PLACEMENT_CASES = {
+    "tau_binomial": (
+        lambda **kw: verify_tau_binomial(0.3 * P.Q, 0.3 * P.Q, P, **kw),
+        lambda: tau_binomial_window(complex(0.3 * P.Q), P),
+    ),
+    "four_five": (
+        lambda **kw: verify_45(0.25 * P.Q, 0.25 * P.Q, 0.25 * P.Q, P, **kw),
+        lambda: four_five_window(complex(0.25 * P.Q), complex(0.25 * P.Q), P),
+    ),
+    "six_nine": (
+        lambda **kw: verify_69(0.2 * P.Q, 0.2 * P.Q, 0.2 * P.Q, 0.2 * P.Q, P, **kw),
+        lambda: six_nine_window(*(complex(0.2 * P.Q),) * 4, P),
+    ),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(PLACEMENT_CASES))
+@pytest.mark.parametrize("fraction", [-0.25, 1.25, 0.03, 0.97])
+def test_offset_outside_placement_margin_raises(identity, fraction):
+    # Outside the window, or inside it within 5% of its width of an end.
+    verify, window = PLACEMENT_CASES[identity]
+    low, high = window()
+    with pytest.raises(ContourPlacementError):
+        verify(offset=low + fraction * (high - low))
+
+
+@pytest.mark.parametrize("identity", sorted(PLACEMENT_CASES))
+def test_offset_inside_placement_margin_passes(identity):
+    verify, window = PLACEMENT_CASES[identity]
+    low, high = window()
+    for fraction in (0.3, 0.7):
+        rep = verify(offset=low + fraction * (high - low))
+        assert rep.passed and rep.params["offset"] == low + fraction * (high - low)
+    rep = verify()
+    assert rep.passed and rep.params["offset"] == 0.5 * (low + high)
+
+
 def test_other_b_values():
     for b in (0.7, 1.2):
         p = BParam(b)

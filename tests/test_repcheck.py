@@ -22,6 +22,7 @@ from mdlab.repcheck import (
     verify_all,
     verify_relation,
 )
+from mdlab.suites import representation_suite
 
 P = OmegaParams(0.83, 1.0 / 0.83)
 
@@ -169,6 +170,16 @@ def test_seed_determinism():
     assert [r.rel_error for r in a] == [r.rel_error for r in b]
     c = verify_all(2, P, trials=4, seed=10)
     assert [r.rel_error for r in a] != [r.rel_error for r in c]
+
+
+def test_rank_below_two_raises():
+    for N in (1, 0):
+        with pytest.raises(RepresentationError):
+            verify_relation("k_raise", N, P)
+        with pytest.raises(RepresentationError):
+            verify_all(N, P)
+        with pytest.raises(RepresentationError):
+            representation_suite(gl_rank=N)
 
 
 def test_unknown_relation():
