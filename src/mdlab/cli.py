@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -24,6 +25,8 @@ from .suites import (
 )
 
 SUITES = ("qdilog", "integrals", "symbolic", "representation")
+# The suites whose checks read a tolerance; the symbolic checks are exact.
+TOLERANCE_SUITES = ("qdilog", "integrals", "representation")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -50,37 +53,38 @@ class UsageError(ValueError):
     pass
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _convert(cast, raw: str, where: str):
+    """``cast(raw)``, or a UsageError that names where the value came from."""
+    try:
+        return cast(raw)
+    except ValueError:
+        raise UsageError(f"{where}: bad value {raw!r}") from None
+
+
+def _apply_config_file(cfg: RunConfig, path: str) -> None:
     """Flat ``key = value`` file; blank lines and # comments ignored."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
-    return values
-
-
-def _apply_file_values(cfg: RunConfig, values: dict[str, str]) -> None:
     casts = {
         "b": float, "omega1": float, "omega2": float,
         "seed": int, "trials": int, "max_N": int, "max_M": int,
         "gl_rank": int,
     }
-    for key, raw in values.items():
+    for lineno, text in enumerate(Path(path).read_text().splitlines(), 1):
+        line = text.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
         if key == "suites":
             cfg.suites = [s.strip() for s in raw.split(",") if s.strip()]
         elif key.startswith("tol."):
-            cfg.tolerances[key[4:]] = float(raw)
+            cfg.tolerances[key[4:]] = _convert(float, raw, f"{path}: {key}")
         elif key == "report":
             cfg.report_path = raw
         elif key in casts:
-            setattr(cfg, key, casts[key](raw))
+            setattr(cfg, key, _convert(casts[key], raw, f"{path}: {key}"))
         else:
-            raise UsageError(f"unknown config key {key!r}")
+            raise UsageError(f"{path}: unknown config key {key!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, help="trials per relation (default 20)")
     parser.add_argument(
         "--tol", action="append", metavar="SUITE=VAL", dest="tols",
-        help="per-suite tolerance override, e.g. --tol integrals=1e-8",
+        help="tolerance override for qdilog, integrals or representation, "
+        "e.g. --tol integrals=1e-8",
     )
     parser.add_argument("--max-N", type=int, dest="max_N", help="symbolic bound N")
     parser.add_argument("--max-M", type=int, dest="max_M", help="symbolic bound M")
@@ -116,7 +121,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     args = _build_parser().parse_args(argv)
     cfg = RunConfig()
     if args.config:
-        _apply_file_values(cfg, _read_config_file(args.config))
+        _apply_config_file(cfg, args.config)
     for name in ("b", "omega1", "omega2", "seed", "trials", "max_N", "max_M", "gl_rank"):
         value = getattr(args, name)
         if value is not None:
@@ -129,15 +134,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         if "=" not in spec:
             raise UsageError(f"--tol expects SUITE=VALUE, got {spec!r}")
         suite, _, raw = spec.partition("=")
-        if suite not in SUITES:
-            raise UsageError(f"--tol: unknown suite {suite!r}")
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise UsageError(f"--tol {spec!r}: bad value") from exc
-        if value <= 0:
-            raise UsageError(f"--tol {spec!r}: tolerance must be positive")
-        cfg.tolerances[suite] = value
+        cfg.tolerances[suite] = _convert(float, raw, f"--tol {spec!r}")
     _validate(cfg)
     return cfg
 
@@ -159,8 +156,10 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.seed < 0 or cfg.seed >= 2**64:
         raise UsageError("seed must fit in 64 unsigned bits")
     for suite, tol in cfg.tolerances.items():
-        if tol <= 0:
-            raise UsageError(f"tolerance for {suite} must be positive")
+        if suite not in TOLERANCE_SUITES:
+            raise UsageError(f"no tolerance applies to suite {suite!r}")
+        if not 0 < tol < math.inf:
+            raise UsageError(f"tolerance for {suite} must be positive and finite")
 
 
 def _report_path(cfg: RunConfig) -> Path:

@@ -4,7 +4,8 @@ Coefficients are elements of the field Q(i)(v) of rational functions over
 the Gaussian rationals in one formal variable v standing for q^{1/2}; q
 itself is v**2.  Half-integer powers of q and the factor q^{-n^2/2}
 appearing in the straightening identities are then plain Laurent monomials
-in v.  Every field operation returns a reduced fraction, so two equal
+in v.  Elements are fractions of polynomials over the Gaussian integers
+ZZ_I, reduced by a gcd over ZZ_I after every field operation, so two equal
 coefficients are equal under ``==`` and a zero coefficient is falsy: there
 is no separate canonicalisation step.
 
@@ -16,22 +17,22 @@ fields never mix: arithmetic between them raises.
 from __future__ import annotations
 
 import sympy as sp
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import ZZ_I
 from sympy.polys.fields import FracElement, field
 
 #: A coefficient: an element of Q(i)(v) for one formal variable v.
 Coeff = FracElement
 
 #: Default formal variable, v = q^{1/2}, as the generator of Q(i)(v).
-V: Coeff = field("v", QQ_I)[1]
+V: Coeff = field("v", ZZ_I)[1]
 
 #: Formal variable for the dual-parameter re-runs, standing for qtilde^{1/2}.
-V_TILDE: Coeff = field("w", QQ_I)[1]
+V_TILDE: Coeff = field("w", ZZ_I)[1]
 
 
 def _field_name(K) -> str:
-    """A field of rational functions as its domain and symbols: QQ_I(v)."""
-    return f"{K.domain}({', '.join(map(str, K.symbols))})"
+    """A field of rational functions as its fraction domain and symbols: QQ_I(v)."""
+    return f"{K.domain.get_field()}({', '.join(map(str, K.symbols))})"
 
 
 def canon(x: Coeff | sp.Expr | int, v: Coeff = V) -> Coeff:

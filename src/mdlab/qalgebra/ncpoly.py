@@ -211,16 +211,6 @@ def _node_rules(
     return rules
 
 
-def _rank2_k_block(v: Coeff) -> dict[tuple[str, str], tuple[RuleBranch, ...]]:
-    """Commuting K letters of two nodes, with K_i K_i^{-1} = 1."""
-    one = canon(1, v)
-    rules = _commuting_block(v, ("K1", "K1i", "K2", "K2i"))
-    for i in (1, 2):
-        rules[(f"K{i}", f"K{i}i")] = ((one, ()),)
-        rules[(f"K{i}i", f"K{i}")] = ((one, ()),)
-    return rules
-
-
 def sl2_preset(v: Coeff = V) -> AlgebraPreset:
     symbols = ("F1", "K1", "K1i", "E1")
     rules = _node_rules(v, {(1, 1): 2}, (1,))
@@ -245,8 +235,8 @@ def sl3_preset(v: Coeff = V) -> AlgebraPreset:
     minus_i_v = canon(-sp.I, v) * v
     cartan = {(1, 1): 2, (2, 2): 2, (1, 2): -1, (2, 1): -1}
     symbols = ("F2", "F12", "F1", "K1", "K1i", "K2", "K2i", "E2", "E12", "E1")
-    rules = _node_rules(v, cartan, (1, 2))
-    rules.update(_rank2_k_block(v))
+    rules = _commuting_block(v, ("K1", "K1i", "K2", "K2i"))
+    rules.update(_node_rules(v, cartan, (1, 2)))
     # Non-simple root letters: K commutation picks up q^{a_i1 + a_i2} = q.
     for i in (1, 2):
         rules[("E12", f"K{i}")] = ((qi, (f"K{i}", "E12")),)
@@ -270,8 +260,8 @@ def commuting_pair_preset(v: Coeff = V) -> AlgebraPreset:
     one = canon(1, v)
     cartan = {(1, 1): 2, (2, 2): 2, (1, 2): 0, (2, 1): 0}
     symbols = ("F1", "F2", "K1", "K1i", "K2", "K2i", "E1", "E2")
-    rules = _node_rules(v, cartan, (1, 2))
-    rules.update(_rank2_k_block(v))
+    rules = _commuting_block(v, ("K1", "K1i", "K2", "K2i"))
+    rules.update(_node_rules(v, cartan, (1, 2)))
     rules[("F2", "F1")] = ((one, ("F1", "F2")),)
     rules[("E2", "E1")] = ((one, ("E1", "E2")),)
     return AlgebraPreset("commuting_pair", symbols, rules, v=v)

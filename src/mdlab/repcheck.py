@@ -7,6 +7,9 @@ shifts gamma_{nj} -> gamma_{nj} - i(a*omega1 + b*omega2).  Both families
 of quantum-group relations and all cross-relations between them are
 verified pointwise on random entire test functions at random generic
 points.
+
+The relation catalogue is one table from relation id to index-pair rule
+and operator builder; the tilde family is generated from the plain one.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -232,17 +235,18 @@ class TestFunction:
 
     @classmethod
     def random(cls, N: int, rng: np.random.Generator) -> "TestFunction":
-        lin, quad = {}, {}
-        for idx in gz_indices(N):
-            lin[idx] = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-            quad[idx] = float(rng.uniform(-0.05, 0.05))
+        idx = gz_indices(N)
+        rows = rng.uniform([-0.5, -0.5, -0.05], [0.5, 0.5, 0.05], (len(idx), 3)).tolist()
+        lin = {i: complex(a, b) for i, (a, b, _) in zip(idx, rows)}
+        quad = {i: d for i, (_, _, d) in zip(idx, rows)}
         return cls(lin, quad)
 
 
 def sample_point(N: int, rng: np.random.Generator) -> Gamma:
     """Random real configuration with within-row separation >= 0.1."""
+    idx = gz_indices(N)
     for _ in range(_MAX_REJECTIONS):
-        g = {idx: complex(rng.uniform(-2.0, 2.0)) for idx in gz_indices(N)}
+        g = dict(zip(idx, map(complex, rng.uniform(-2.0, 2.0, len(idx)).tolist())))
         ok = all(
             abs(g[(n, i)].real - g[(n, j)].real) >= ROW_SEPARATION
             for n in range(1, N + 1)
@@ -254,9 +258,109 @@ def sample_point(N: int, rng: np.random.Generator) -> Gamma:
     raise RepresentationError("could not sample a generic point")
 
 
-# ------------------------------------------------------------ relation list
-def _delta(a: int, b: int) -> int:
-    return 1 if a == b else 0
+# ---------------------------------------------------------- relation table
+def _grid(dn: int, dm: int, keep: Callable[[int], bool] = lambda d: True):
+    """The index pairs 1 <= n < N + dn, 1 <= m < N + dm whose n - m passes
+    ``keep`` (E-type indices stop at N - 1, K-type indices at N)."""
+    return lambda N: [
+        (n, m) for n in range(1, N + dn) for m in range(1, N + dm) if keep(n - m)
+    ]
+
+
+def _adjacent(N: int) -> list[tuple[int, int]]:
+    return [(n, n + 1) for n in range(1, N - 1)] + [(n + 1, n) for n in range(1, N - 1)]
+
+
+def _sign(*offsets: int) -> Callable[[int, int, complex], float]:
+    """The factor (-1)^k, where k counts the ``offsets`` equal to n - m."""
+    return lambda n, m, q: (-1.0) ** sum(n - m == d for d in offsets)
+
+
+_Builder = Callable[..., ShiftOperator]
+
+
+def _q_commutator(x: str, y: str, c: Callable | None = None) -> _Builder:
+    """X_n Y_m - c(n, m, q) Y_m X_n; without c, Y_m X_n is not scaled."""
+
+    def build(gen, prod, q, n, m):
+        X, Y = gen(x, n), gen(y, m)
+        XY, YX = prod(X, Y), prod(Y, X)
+        return XY - (YX if c is None else YX.scale(c(n, m, q)))
+
+    return build
+
+
+def _ef_commutator(gen, prod, q, n, m) -> ShiftOperator:
+    """[E_n, F_m] - delta_nm (K_n K_{n+1}^{-1} - K_n^{-1} K_{n+1}) / (q - q^{-1})."""
+    E, F = gen("E_raise", n), gen("E_lower", m)
+    lhs = prod(E, F) - prod(F, E)
+    if n != m:
+        return lhs
+    Kn, Kn1 = gen("K", n), gen("K", n + 1)
+    Kni, Kn1i = gen("K_inv", n), gen("K_inv", n + 1)
+    return lhs - (prod(Kn, Kn1i) - prod(Kni, Kn1)).scale(1.0 / (q - 1.0 / q))
+
+
+def _serre(kind: str) -> _Builder:
+    """X_n X_n X_m - (q + q^{-1}) X_n X_m X_n + X_m X_n X_n."""
+
+    def build(gen, prod, q, n, m):
+        X, Y = gen(kind, n), gen(kind, m)
+        return prod(X, X, Y) - prod(X, Y, X).scale(q + 1.0 / q) + prod(Y, X, X)
+
+    return build
+
+
+@dataclass(frozen=True)
+class _Relation:
+    """Index-pair rule and operator builder of one relation.  build(gen,
+    prod, q, n, m) takes its family's generators gen(kind, index), the
+    operator product and the family's q, and returns both sides of the
+    relation at (n, m) as one operator that must vanish.  A dual relation
+    builds with the tilde generators and qtilde."""
+
+    pairs: Callable[[int], list[tuple[int, int]]]
+    build: _Builder
+    dual: bool = False
+
+
+_E_E, _K_E, _E_K = _grid(0, 0), _grid(1, 0), _grid(0, 1)
+_DISTANT = _grid(0, 0, lambda d: abs(d) != 1)
+
+_PLAIN = {
+    "ef_commutator": _Relation(_E_E, _ef_commutator),
+    "k_raise": _Relation(_K_E, _q_commutator(
+        "K", "E_raise", lambda n, m, q: q ** ((n == m) - (n == m + 1)))),
+    "k_lower": _Relation(_K_E, _q_commutator(
+        "K", "E_lower", lambda n, m, q: q ** ((n == m + 1) - (n == m)))),
+    "raise_commute_distant": _Relation(_DISTANT, _q_commutator("E_raise", "E_raise")),
+    "serre_raise": _Relation(_adjacent, _serre("E_raise")),
+    "serre_lower": _Relation(_adjacent, _serre("E_lower")),
+    "lower_commute_distant": _Relation(_DISTANT, _q_commutator("E_lower", "E_lower")),
+}
+
+_RELATIONS = {
+    **_PLAIN,
+    **{"tilde_" + r: replace(rel, dual=True) for r, rel in _PLAIN.items()},
+    # cross-relations X_n Y_m = sign * Y_m X_n between the two families
+    "cross_raise_tk": _Relation(_E_K, _q_commutator("E_raise", "tK", _sign(0, -1))),
+    "cross_lower_tk": _Relation(_E_K, _q_commutator("E_lower", "tK", _sign(0, -1))),
+    "cross_raise_traise": _Relation(_E_E, _q_commutator("E_raise", "tE_raise", _sign(1, -1))),
+    "cross_raise_tlower": _Relation(_E_E, _q_commutator("E_raise", "tE_lower", _sign())),
+    "cross_lower_tlower": _Relation(_E_E, _q_commutator("E_lower", "tE_lower", _sign(-1, 1))),
+    "cross_traise_k": _Relation(_E_K, _q_commutator("tE_raise", "K", _sign(0, -1))),
+    "cross_tlower_k": _Relation(_E_K, _q_commutator("tE_lower", "K", _sign(0, -1))),
+    "cross_traise_lower": _Relation(_E_E, _q_commutator("tE_raise", "E_lower", _sign())),
+}
+
+#: Every relation id: the plain family, its tilde twins, then the cross-relations.
+ALL_RELATIONS = tuple(_RELATIONS)
+
+
+def _relation(rel_id: str) -> _Relation:
+    if rel_id not in _RELATIONS:
+        raise RepresentationError(f"unknown relation id {rel_id!r}")
+    return _RELATIONS[rel_id]
 
 
 def _relation_operator(
@@ -264,119 +368,21 @@ def _relation_operator(
 ) -> ShiftOperator:
     """Both sides of the named relation combined into a single operator
     that must vanish identically."""
-    t = rel_id.startswith("tilde_")
-    base = rel_id[6:] if t else rel_id
-    pre = "t" if t else ""
-    qq = p.qtilde if t else p.q
+    rel = _relation(rel_id)
+    prefix, q = ("t", p.qtilde) if rel.dual else ("", p.q)
 
-    def g(kind: str, idx: int) -> ShiftOperator:
-        return build_generator(kind, idx, N, p)
+    def gen(kind: str, idx: int) -> ShiftOperator:
+        return build_generator(prefix + kind, idx, N, p)
 
     def prod(*ops: ShiftOperator) -> ShiftOperator:
         return compose_all(list(ops), p)
 
-    if base == "ef_commutator":
-        E, F = g(pre + "E_raise", n), g(pre + "E_lower", m)
-        lhs = prod(E, F) - prod(F, E)
-        if n != m:
-            return lhs
-        Kn, Kn1 = g(pre + "K", n), g(pre + "K", n + 1)
-        Kni, Kn1i = g(pre + "K_inv", n), g(pre + "K_inv", n + 1)
-        rhs = (prod(Kn, Kn1i) - prod(Kni, Kn1)).scale(1.0 / (qq - 1.0 / qq))
-        return lhs - rhs
-    if base == "k_raise":
-        K, E = g(pre + "K", n), g(pre + "E_raise", m)
-        return prod(K, E) - prod(E, K).scale(qq ** (_delta(n, m) - _delta(n, m + 1)))
-    if base == "k_lower":
-        K, E = g(pre + "K", n), g(pre + "E_lower", m)
-        return prod(K, E) - prod(E, K).scale(qq ** (_delta(n, m + 1) - _delta(n, m)))
-    if base in ("raise_commute_distant", "lower_commute_distant"):
-        kind = pre + ("E_raise" if "raise" in base else "E_lower")
-        X, Y = g(kind, n), g(kind, m)
-        return prod(X, Y) - prod(Y, X)
-    if base in ("serre_raise", "serre_lower"):
-        kind = pre + ("E_raise" if base == "serre_raise" else "E_lower")
-        X, Y = g(kind, n), g(kind, m)
-        return (
-            prod(X, X, Y)
-            - prod(X, Y, X).scale(qq + 1.0 / qq)
-            + prod(Y, X, X)
-        )
-
-    # cross-relations: X * Y = sign * Y * X
-    cross = {
-        "cross_raise_tk": ("E_raise", "tK", (-1.0) ** (_delta(n, m) + _delta(n, m - 1))),
-        "cross_lower_tk": ("E_lower", "tK", (-1.0) ** (_delta(n, m) + _delta(n, m - 1))),
-        "cross_raise_traise": (
-            "E_raise",
-            "tE_raise",
-            (-1.0) ** (_delta(n, m + 1) + _delta(n + 1, m)),
-        ),
-        "cross_raise_tlower": ("E_raise", "tE_lower", 1.0),
-        "cross_lower_tlower": (
-            "E_lower",
-            "tE_lower",
-            (-1.0) ** (_delta(n, m - 1) + _delta(n - 1, m)),
-        ),
-        "cross_traise_k": ("tE_raise", "K", (-1.0) ** (_delta(n, m) + _delta(n, m - 1))),
-        "cross_tlower_k": ("tE_lower", "K", (-1.0) ** (_delta(n, m) + _delta(n, m - 1))),
-        "cross_traise_lower": ("tE_raise", "E_lower", 1.0),
-    }
-    if base in cross:
-        xk, yk, sign = cross[base]
-        X, Y = g(xk, n), g(yk, m)
-        return prod(X, Y) - prod(Y, X).scale(sign)
-    raise RepresentationError(f"unknown relation id {rel_id!r}")
+    return rel.build(gen, prod, q, n, m)
 
 
 def relation_index_pairs(rel_id: str, N: int) -> list[tuple[int, int]]:
     """All applicable (n, m) index pairs of a relation for given N."""
-    base = rel_id[6:] if rel_id.startswith("tilde_") else rel_id
-    e = range(1, N)  # E-type indices
-    k = range(1, N + 1)  # K-type indices
-    if base == "ef_commutator":
-        return [(n, m) for n in e for m in e]
-    if base in ("k_raise", "k_lower"):
-        return [(n, m) for n in k for m in e]
-    if base in ("raise_commute_distant", "lower_commute_distant"):
-        return [(n, m) for n in e for m in e if m != n + 1 and m != n - 1]
-    if base in ("serre_raise", "serre_lower"):
-        return [(n, n + 1) for n in range(1, N - 1)] + [
-            (n + 1, n) for n in range(1, N - 1)
-        ]
-    if base in ("cross_raise_tk", "cross_lower_tk", "cross_traise_k", "cross_tlower_k"):
-        return [(n, m) for n in e for m in k]
-    if base.startswith("cross_"):
-        return [(n, m) for n in e for m in e]
-    raise RepresentationError(f"unknown relation id {rel_id!r}")
-
-
-PLAIN_RELATIONS = (
-    "ef_commutator",
-    "k_raise",
-    "k_lower",
-    "raise_commute_distant",
-    "serre_raise",
-    "serre_lower",
-    "lower_commute_distant",
-)
-
-CROSS_RELATIONS = (
-    "cross_raise_tk",
-    "cross_lower_tk",
-    "cross_raise_traise",
-    "cross_raise_tlower",
-    "cross_lower_tlower",
-    "cross_traise_k",
-    "cross_tlower_k",
-    "cross_traise_lower",
-)
-
-ALL_RELATIONS = (
-    PLAIN_RELATIONS
-    + tuple("tilde_" + r for r in PLAIN_RELATIONS)
-    + CROSS_RELATIONS
-)
+    return _relation(rel_id).pairs(N)
 
 
 def verify_relation(

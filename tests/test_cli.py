@@ -41,8 +41,9 @@ def test_repeatable_suite():
 def test_tol_override():
     cfg = parse_config(["--tol", "integrals=1e-8"])
     assert cfg.tolerances == {"integrals": 1e-8}
-    with pytest.raises(UsageError):
-        parse_config(["--tol", "integrals=-1"])
+    for bad in ("-1", "nan", "inf"):
+        with pytest.raises(UsageError):
+            parse_config(["--tol", f"integrals={bad}"])
     with pytest.raises(UsageError):
         parse_config(["--tol", "nosuite=1e-8"])
     with pytest.raises(UsageError):
@@ -77,6 +78,31 @@ def test_bad_config_file(tmp_path):
     bad.write_text("unknown_key = 3\n")
     with pytest.raises(UsageError):
         parse_config(["--config", str(bad)])
+
+
+# Arguments that keep a run short should a bad input get through.
+SHORT_RUN = ["--suite", "representation", "--gl-rank", "2", "--trials", "1"]
+
+
+@pytest.mark.parametrize("flag, line", [
+    (["--b", "abc"], "b = abc"),
+    (["--tol", "nosuite=1e-8"], "tol.nosuite = 1e-8"),
+    (["--tol", "symbolic=1e-3"], "tol.symbolic = 1e-3"),
+])
+def test_bad_input_exits_usage_by_flag_and_file(tmp_path, monkeypatch, capsys, flag, line):
+    monkeypatch.setenv("MDLAB_REPORT_DIR", str(tmp_path))
+    assert main(flag + SHORT_RUN) == EXIT_USAGE
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    assert main(["--config", str(cfg_file)] + SHORT_RUN) == EXIT_USAGE
+    assert not (tmp_path / "mdlab_report.json").exists()
+
+
+def test_bad_file_value_names_file_and_key(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed = 1.5\n")
+    with pytest.raises(UsageError, match=rf"{cfg_file}: seed: bad value '1.5'"):
+        parse_config(["--config", str(cfg_file)])
 
 
 def test_validation_errors():

@@ -101,6 +101,15 @@ def test_coefficients_canonical_by_construction():
     assert (Q**2 - QI**2) / (Q - QI) == Q + QI
 
 
+def test_gaussian_integer_denominator_is_canonical():
+    # (3i v^3 + (2+4i) v)/(4+8i) = ((6+3i) v^3 + 10 v)/20, reached by two
+    # different routes, must have one stored numerator and denominator
+    x = (canon(3 * sp.I) * V**3 + canon(2 + 4 * sp.I) * V) / canon(4 + 8 * sp.I)
+    y = (canon(6 + 3 * sp.I) * V**3 + 10 * V) * canon(sp.Rational(1, 20))
+    assert x == y
+    assert x.numer == y.numer and x.denom == y.denom
+
+
 def test_variables_do_not_mix():
     E = gen(SL2, "E1")
     with pytest.raises(ValueError):

@@ -134,8 +134,16 @@ def test_sample_point_separation():
             assert all(b - a >= 0.1 for a, b in zip(xs, xs[1:]))
 
 
+PLAIN = ("ef_commutator", "k_raise", "k_lower", "raise_commute_distant",
+         "serre_raise", "serre_lower", "lower_commute_distant")
+CROSS = ("cross_raise_tk", "cross_lower_tk", "cross_raise_traise", "cross_raise_tlower",
+         "cross_lower_tlower", "cross_traise_k", "cross_tlower_k", "cross_traise_lower")
+
+
 def test_relation_catalogue_coverage():
     assert len(ALL_RELATIONS) == 22
+    # the plain family, its tilde twins, then the cross-relations
+    assert ALL_RELATIONS == PLAIN + tuple("tilde_" + r for r in PLAIN) + CROSS
     # every cross-relation exercises all its delta-coincidence cases at N = 3
     pairs = relation_index_pairs("cross_raise_traise", 3)
     assert set(pairs) == {(1, 1), (1, 2), (2, 1), (2, 2)}
@@ -144,6 +152,42 @@ def test_relation_catalogue_coverage():
     # Serre relations need N = 3 and run both index orders
     assert relation_index_pairs("serre_raise", 2) == []
     assert set(relation_index_pairs("serre_raise", 3)) == {(1, 2), (2, 1)}
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_every_relation_resolves(N):
+    for rel_id in ALL_RELATIONS:
+        pairs = relation_index_pairs(rel_id, N)
+        assert pairs, rel_id
+        for n, m in pairs:
+            D = repcheck._relation_operator(rel_id, n, m, N, P)
+            assert isinstance(D, ShiftOperator) and D.terms, (rel_id, n, m)
+
+
+def _scalar_draws(N, rng):
+    """Reference: the test function and point drawn one scalar at a time."""
+    lin, quad = {}, {}
+    for idx in gz_indices(N):
+        lin[idx] = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        quad[idx] = float(rng.uniform(-0.05, 0.05))
+    while True:
+        g = {idx: complex(rng.uniform(-2.0, 2.0)) for idx in gz_indices(N)}
+        if all(abs(g[(n, i)].real - g[(n, j)].real) >= 0.1
+               for n in range(1, N + 1)
+               for i in range(1, n + 1)
+               for j in range(i + 1, n + 1)):
+            return lin, quad, g
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_array_draws_match_scalar_draws(N):
+    for trial in range(200):
+        lin, quad, g = _scalar_draws(N, np.random.default_rng([42, N, trial]))
+        rng = np.random.default_rng([42, N, trial])
+        f = TestFunction.random(N, rng)
+        x = sample_point(N, rng)
+        assert f.linear == lin and f.quadratic == quad and x == g
+        assert all(type(d) is float for d in f.quadratic.values())
 
 
 def test_single_relations():
@@ -185,6 +229,12 @@ def test_rank_below_two_raises():
 def test_unknown_relation():
     with pytest.raises(RepresentationError):
         verify_relation("no_such_relation", 2, P)
+    # the tilde twins exist for the plain relations only
+    for rel_id in ("no_such_relation", "tilde_cross_raise_tk"):
+        with pytest.raises(RepresentationError, match="unknown relation id"):
+            relation_index_pairs(rel_id, 3)
+        with pytest.raises(RepresentationError, match="unknown relation id"):
+            repcheck._relation_operator(rel_id, 1, 1, 3, P)
 
 
 SCORED = [("ef_commutator", 2), ("serre_raise", 3), ("cross_raise_traise", 3)]
