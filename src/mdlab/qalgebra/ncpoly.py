@@ -1,8 +1,12 @@
-"""Noncommutative polynomials with exact coefficients and normal ordering.
+"""Noncommutative polynomials and tensors with exact coefficients and
+normal ordering.
 
-Words are tuples of generator names; a polynomial maps words to non-zero
+Words are tuples of generator names.  A polynomial (``NCPoly``) maps words,
+and a tensor (``NCTensor``) maps tuples of ``arity`` words, to non-zero
 coefficients in the field Q(i)(v) of its preset's variable (see
-``coeffs``).  Each preset fixes an alphabet, a total normal order on it
+``coeffs``).  Both share one linear-combination arithmetic, and a sum or
+product of operands from different presets or of different arities raises
+``ValueError``.  Each preset fixes an alphabet, a total normal order on it
 (F-block, then K-block, then E-block) and a confluent set of adjacent-pair
 rewrite rules; normal ordering rewrites the leftmost reducible pair until
 none remains.  Field coefficients are reduced by construction, so two
@@ -12,6 +16,7 @@ the same terms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -47,29 +52,93 @@ def _add_to(out: dict, key, c: Coeff) -> None:
     out[key] = out[key] + c if key in out else c
 
 
-def _format_terms(terms: Mapping, show_word) -> str:
-    if not terms:
-        return "0"
-    return " + ".join(f"({c.as_expr()})*{show_word(w)}" for w, c in sorted(terms.items()))
+def _show_word(w: Word) -> str:
+    return "*".join(w) or "1"
 
 
-class NCPoly:
-    """Finite linear combination of words over a preset's alphabet."""
+class _Combination:
+    """Finite linear combination of keys with non-zero coefficients in the
+    field of a preset's variable.
+
+    A subclass fixes its keys (``_key``), how two keys multiply (``_join``),
+    how a key prints (``_show``) and its space (``_space``): the leading
+    constructor arguments, which both operands of every binary operation
+    must share.
+    """
 
     __slots__ = ("preset", "terms")
 
-    def __init__(self, preset: AlgebraPreset, terms: Mapping[Word, object] | None = None):
+    def __init__(self, preset: AlgebraPreset, terms: Mapping | None = None):
         """Coefficients may be ints, sympy numbers or elements of the
         preset's field; each is coerced with ``canon``."""
         self.preset = preset
-        self.terms: dict[Word, Coeff] = {}
-        for w, c in (terms or {}).items():
-            preset.validate_word(w)
+        self.terms: dict = {}
+        for key, c in (terms or {}).items():
+            key = self._key(key)
             c = canon(c, preset.v)
             if not is_zero(c):
-                self.terms[tuple(w)] = c
+                self.terms[key] = c
 
-    # ------------------------------------------------------------------ basics
+    def _like(self, terms: Mapping):
+        return type(self)(*self._space(), terms)
+
+    def _check_compatible(self, other: "_Combination") -> None:
+        if type(other) is not type(self) or other._space() != self._space():
+            raise ValueError("operands differ in type, preset or tensor arity")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _add_to(out, k, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, _Combination):
+            self._check_compatible(other)
+            out: dict = {}
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    _add_to(out, self._join(k1, k2), c1 * c2)
+            return self._like(out)
+        coeff = canon(other, self.preset.v)
+        return self._like({k: c * coeff for k, c in self.terms.items()})
+
+    def __rmul__(self, other):
+        return self * other
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(
+            f"({c.as_expr()})*{self._show(k)}" for k, c in sorted(self.terms.items())
+        )
+
+
+class NCPoly(_Combination):
+    """Finite linear combination of words over a preset's alphabet."""
+
+    __slots__ = ()
+
+    def _space(self) -> tuple:
+        return (self.preset,)
+
+    def _key(self, key: Word) -> Word:
+        self.preset.validate_word(key)
+        return tuple(key)
+
+    _join = staticmethod(operator.add)
+    _show = staticmethod(_show_word)
+
     @classmethod
     def zero(cls, preset: AlgebraPreset) -> "NCPoly":
         return cls(preset)
@@ -82,38 +151,6 @@ class NCPoly:
     def gen(cls, preset: AlgebraPreset, name: str, coeff: object = 1) -> "NCPoly":
         return cls(preset, {(name,): coeff})
 
-    def _check_compatible(self, other: "NCPoly") -> None:
-        if self.preset is not other.preset and self.preset != other.preset:
-            raise ValueError("polynomials come from different presets")
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _add_to(out, w, c)
-        return NCPoly(self.preset, out)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.preset, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + -other
-
-    def __mul__(self, other: "NCPoly | Coeff | sp.Expr | int") -> "NCPoly":
-        if isinstance(other, NCPoly):
-            self._check_compatible(other)
-            out: dict[Word, Coeff] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    _add_to(out, w, c1 * c2)
-            return NCPoly(self.preset, out)
-        coeff = canon(other, self.preset.v)
-        return NCPoly(self.preset, {w: c * coeff for w, c in self.terms.items()})
-
-    def __rmul__(self, other: "Coeff | sp.Expr | int") -> "NCPoly":
-        return self * other
-
     def __pow__(self, n: int) -> "NCPoly":
         if n < 0:
             raise ValueError("negative powers are not defined on NCPoly")
@@ -121,12 +158,6 @@ class NCPoly:
         for _ in range(n):
             out = out * self
         return out
-
-    def is_zero(self) -> bool:
-        return all(is_zero(c) for c in self.terms.values())
-
-    def __repr__(self) -> str:
-        return _format_terms(self.terms, lambda w: "*".join(w) or "1")
 
     # --------------------------------------------------------- normal ordering
     def _leftmost_reducible(self, word: Word) -> int | None:
@@ -302,10 +333,10 @@ def divided_power(preset: AlgebraPreset, name: str, n: int) -> NCPoly:
 
 
 # ---------------------------------------------------------------- tensors
-class NCTensor:
-    """Linear combination of tensor words (tuples of words, fixed arity)."""
+class NCTensor(_Combination):
+    """Linear combination of tensor words (tuples of ``arity`` words)."""
 
-    __slots__ = ("preset", "arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(
         self,
@@ -313,53 +344,30 @@ class NCTensor:
         arity: int,
         terms: Mapping[tuple[Word, ...], object] | None = None,
     ):
-        """Coefficients are coerced with ``canon``, as in NCPoly."""
-        self.preset = preset
         self.arity = arity
-        self.terms: dict[tuple[Word, ...], Coeff] = {}
-        for tw, c in (terms or {}).items():
-            if len(tw) != arity:
-                raise ValueError("tensor word arity mismatch")
-            c = canon(c, preset.v)
-            if not is_zero(c):
-                self.terms[tuple(tuple(w) for w in tw)] = c
+        super().__init__(preset, terms)
+
+    def _space(self) -> tuple:
+        return (self.preset, self.arity)
+
+    def _key(self, key: tuple[Word, ...]) -> tuple[Word, ...]:
+        if len(key) != self.arity:
+            raise ValueError("tensor word arity mismatch")
+        for w in key:
+            self.preset.validate_word(w)
+        return tuple(tuple(w) for w in key)
+
+    @staticmethod
+    def _join(k1: tuple[Word, ...], k2: tuple[Word, ...]) -> tuple[Word, ...]:
+        return tuple(w1 + w2 for w1, w2 in zip(k1, k2))
+
+    @staticmethod
+    def _show(key: tuple[Word, ...]) -> str:
+        return " (x) ".join(map(_show_word, key))
 
     @classmethod
     def one(cls, preset: AlgebraPreset, arity: int) -> "NCTensor":
         return cls(preset, arity, {tuple(() for _ in range(arity)): 1})
-
-    def __add__(self, other: "NCTensor") -> "NCTensor":
-        out = dict(self.terms)
-        for tw, c in other.terms.items():
-            _add_to(out, tw, c)
-        return NCTensor(self.preset, self.arity, out)
-
-    def __neg__(self) -> "NCTensor":
-        return NCTensor(self.preset, self.arity, {tw: -c for tw, c in self.terms.items()})
-
-    def __sub__(self, other: "NCTensor") -> "NCTensor":
-        return self + -other
-
-    def __mul__(self, other: "NCTensor | Coeff | sp.Expr | int") -> "NCTensor":
-        if isinstance(other, NCTensor):
-            out: dict[tuple[Word, ...], Coeff] = {}
-            for tw1, c1 in self.terms.items():
-                for tw2, c2 in other.terms.items():
-                    tw = tuple(w1 + w2 for w1, w2 in zip(tw1, tw2))
-                    _add_to(out, tw, c1 * c2)
-            return NCTensor(self.preset, self.arity, out)
-        coeff = canon(other, self.preset.v)
-        return NCTensor(
-            self.preset, self.arity, {tw: c * coeff for tw, c in self.terms.items()}
-        )
-
-    def __rmul__(self, other: "Coeff | sp.Expr | int") -> "NCTensor":
-        return self * other
-
-    def __repr__(self) -> str:
-        return _format_terms(
-            self.terms, lambda tw: " (x) ".join("*".join(w) or "1" for w in tw)
-        )
 
     def normal_order(self) -> "NCTensor":
         """Normal order every tensor leg independently."""
@@ -377,32 +385,19 @@ class NCTensor:
                 _add_to(out, full, cc)
         return NCTensor(self.preset, self.arity, out)
 
-    def is_zero(self) -> bool:
-        return all(is_zero(c) for c in self.terms.values())
-
-
-_COPRODUCT_SHAPE = {
-    # generator suffix -> list of (left letters, right letters) with coeff 1
-    "E": [(("E",), ()), (("Ki",), ("E",))],
-    "F": [((), ("F",)), (("F",), ("K",))],
-    "K": [(("K",), ("K",))],
-    "Ki": [(("Ki",), ("Ki",))],
-}
-
 
 def _coproduct_letter(preset: AlgebraPreset, g: str) -> NCTensor:
-    if g.startswith("K"):
-        node = g[1:].rstrip("i")
-        kind = "Ki" if g.endswith("i") else "K"
-    elif g[0] in ("E", "F") and g[1:] in ("1", "2"):
-        node, kind = g[1:], g[0]
+    """Delta(E_i) = E_i (x) 1 + K_i^{-1} (x) E_i, Delta(F_i) = 1 (x) F_i +
+    F_i (x) K_i and Delta(K_i^{+-1}) = K_i^{+-1} (x) K_i^{+-1}, nodes 1, 2."""
+    kind, node = g[:1], g[1:]
+    if kind == "E" and node in ("1", "2"):
+        terms = {((g,), ()): 1, ((f"K{node}i",), (g,)): 1}
+    elif kind == "F" and node in ("1", "2"):
+        terms = {((), (g,)): 1, ((g,), (f"K{node}",)): 1}
+    elif kind == "K" and node in ("1", "1i", "2", "2i"):
+        terms = {((g,), (g,)): 1}
     else:
         raise ValueError(f"coproduct is not defined on {g!r}")
-    terms: dict[tuple[Word, ...], int] = {}
-    for left, right in _COPRODUCT_SHAPE[kind]:
-        lw = tuple(f"{s[0]}{node}{'i' if s.endswith('i') else ''}" for s in left)
-        rw = tuple(f"{s[0]}{node}{'i' if s.endswith('i') else ''}" for s in right)
-        terms[(lw, rw)] = terms.get((lw, rw), 0) + 1
     return NCTensor(preset, 2, terms)
 
 

@@ -13,15 +13,18 @@ The numerical policy is fixed, not configurable: the strip is evaluated
 only at distance STRIP_MARGIN = 0.05 or more from its edges, the contour
 sits at Im t = pi*min(b, 1/b)/4, an eighth of the height of the first
 poles, each tail is cut where the integrand's decay bound falls to e^{-40},
-and the cut never lies beyond |t| = 512.
+and the cut never lies beyond |t| = 512.  The kernel evaluates a batch in
+blocks of at most 2**17 values, so its memory is bounded whatever the batch
+size and however long the grid.
 
 Outside the strip the argument is reduced back into it with the shift
 equation G_b(z + b^{±1}) = (1 - e^{2 pi i b^{±1} z}) G_b(z), accumulating
 the finite product of factors exactly.
 
 Also provided: pole/zero classification on the lattices -n1*b - n2/b and
-Q + n1*b + n2/b, residue coefficients at the poles, the q-exponential
-analog g_b, and an asymptotic-behavior checker.
+Q + n1*b + n2/b, each searched in full so that no lattice point is missed,
+residue coefficients at the poles, the q-exponential analog g_b, and an
+asymptotic-behavior checker.
 """
 
 from __future__ import annotations
@@ -50,9 +53,10 @@ _TAIL_LOG = 40.0
 # Largest truncation half-width of the defining integral.
 _MAX_T = 512.0
 
-# Rows of z per strip-kernel matrix, so the kernel's memory does not grow
-# with the batch.
-_BLOCK_ROWS = 128
+# Values per strip-kernel block (2 MB of complex128): the kernel takes as
+# many rows of z as fit against its grid, so its memory grows neither with
+# the batch nor with the grid, which widens with |Im z| and near the margin.
+_BLOCK_VALUES = 2**17
 
 # Sample radii x0 / 2^k, k < _RESIDUE_LEVELS, of the residue extrapolation.
 _RESIDUE_LEVELS = 6
@@ -71,43 +75,37 @@ class PoleZeroClass:
     n2: int = 0
 
 
-def _lattice_candidates(x: float, step: float, count: int) -> range:
-    lo = max(0, int(math.floor(x / step)) - 1)
-    return range(lo, lo + count)
+def _nearest_lattice_point(s: float, p: BParam) -> tuple[float, int, int]:
+    """(distance, n1, n2) of the point n1*b + n2/b, n1, n2 >= 0, nearest to
+    the real ``s``: every n1 up to floor(s/b) + 1, each with its nearest n2."""
+    best = (math.inf, 0, 0)
+    for n1 in range(max(0, math.floor(s / p.b)) + 2):
+        n2 = max(0, round((s - n1 * p.b) * p.b))
+        d = abs(s - n1 * p.b - n2 / p.b)
+        if d < best[0]:
+            best = (d, n1, n2)
+    return best
 
 
 def classify(z: complex, p: BParam, tol: float = 1e-9) -> PoleZeroClass:
     """Classify ``z`` against the pole lattice -n1*b - n2/b and the zero
     lattice Q + n1*b + n2/b, within Euclidean distance ``tol``.
 
-    Ties between candidate lattice points go to the nearest one.
+    A point within ``tol`` of the real axis is checked against both
+    lattices in full, at a cost that grows with |Re z|/b.  The nearest
+    lattice point wins; on a tie, the pole.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     z = complex(z)
-    best: tuple[float, PoleZeroClass] | None = None
+    best, found = math.inf, PoleZeroClass("regular")
     if abs(z.imag) <= tol:
-        # Pole lattice: z = -(n1*b + n2/b), n1, n2 >= 0.
-        s = -z.real
-        if s > -tol:
-            for n1 in _lattice_candidates(max(s, 0.0), p.b, 4):
-                rem = s - n1 * p.b
-                n2 = max(0, round(rem * p.b))
-                d = abs(z + n1 * p.b + n2 / p.b)
-                if d <= tol and (best is None or d < best[0]):
-                    best = (d, PoleZeroClass("pole", n1, n2))
-        # Zero lattice: z = Q + n1*b + n2/b.
-        s = z.real - p.Q
-        if s > -tol:
-            for n1 in _lattice_candidates(max(s, 0.0), p.b, 4):
-                rem = s - n1 * p.b
-                n2 = max(0, round(rem * p.b))
-                d = abs(z - (p.Q + n1 * p.b + n2 / p.b))
-                if d <= tol and (best is None or d < best[0]):
-                    best = (d, PoleZeroClass("zero", n1, n2))
-    if best is None:
-        return PoleZeroClass("regular")
-    return best[1]
+        for kind, s in (("pole", -z.real), ("zero", z.real - p.Q)):
+            d, n1, n2 = _nearest_lattice_point(s, p)
+            d = math.hypot(d, z.imag)
+            if d <= tol and d < best:
+                best, found = d, PoleZeroClass(kind, n1, n2)
+    return found
 
 
 def _contour_elevation(p: BParam) -> float:
@@ -172,17 +170,19 @@ def log_gb_strip(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
     # For t -> +inf rewrite with the denominators pulled out so everything
     # stays bounded: e^{z t}/((1-e^{bt})(1-e^{t/b})) = e^{(z-Q)t}/((e^{-bt}-1)(e^{-t/b}-1)).
     # One block of rows at a time is shifted, exponentiated and divided in
-    # place, so the kernel holds at most _BLOCK_ROWS x len(t) values.
+    # place; a block holds at most _BLOCK_VALUES values, or one row when a
+    # single row is longer.
     pos = t.real >= 0
     shift = np.where(pos, p.Q * t, 0.0)
     den = np.empty_like(t)
     den[pos] = np.expm1(-p.b * t[pos]) * np.expm1(-t[pos] / p.b) * t[pos]
     den[~pos] = -np.expm1(p.b * t[~pos]) * -np.expm1(t[~pos] / p.b) * t[~pos]
 
+    step = max(1, _BLOCK_VALUES // len(t))
     integral = np.empty_like(zs)
-    block = np.empty((min(len(zs), _BLOCK_ROWS), len(t)), dtype=complex)
-    for lo in range(0, len(zs), _BLOCK_ROWS):
-        rows = zs[lo:lo + _BLOCK_ROWS]
+    block = np.empty((min(len(zs), step), len(t)), dtype=complex)
+    for lo in range(0, len(zs), step):
+        rows = zs[lo:lo + step]
         vals = block[:len(rows)]
         np.multiply.outer(rows, t, out=vals)
         vals -= shift
@@ -239,7 +239,7 @@ def gb(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
     the strip and evaluated from the integral representation.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.zeros_like(zs)
+    out = np.zeros(zs.size, dtype=complex)
     reduced: list[complex] = []
     mults: list[complex] = []
     idx: list[int] = []
@@ -257,8 +257,8 @@ def gb(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
         idx.append(i)
     if reduced:
         logs = log_gb_strip(np.array(reduced), p)
-        out.ravel()[idx] = np.asarray(mults) * np.exp(logs)
-    return out if np.ndim(z) else complex(out[0])
+        out[idx] = np.asarray(mults) * np.exp(logs)
+    return out.reshape(zs.shape) if np.ndim(z) else complex(out[0])
 
 
 def shift_product(z: complex, n1: int, n2: int, p: BParam) -> complex:

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -27,6 +29,7 @@ from mdlab.qalgebra import (
     verify_qbinomial,
     verify_serre_sum,
 )
+from mdlab.qalgebra.ncpoly import _coproduct_letter
 
 SL2 = sl2_preset()
 SL3 = sl3_preset()
@@ -259,6 +262,43 @@ def test_coproduct_on_generators():
     assert set(DE.terms) == {(("E1",), ()), (("K1i",), ("E1",))}
     DF = coproduct(gen(SL2, "F1"))
     assert set(DF.terms) == {((), ("F1",)), (("F1",), ("K1",))}
+
+
+def test_coproduct_letter_rules():
+    rules = {
+        "E1": [(("E1",), ()), (("K1i",), ("E1",))],
+        "E2": [(("E2",), ()), (("K2i",), ("E2",))],
+        "F1": [((), ("F1",)), (("F1",), ("K1",))],
+        "F2": [((), ("F2",)), (("F2",), ("K2",))],
+        "K1": [(("K1",), ("K1",))],
+        "K1i": [(("K1i",), ("K1i",))],
+        "K2": [(("K2",), ("K2",))],
+        "K2i": [(("K2i",), ("K2i",))],
+    }
+    for g, keys in rules.items():
+        d = _coproduct_letter(SL3, g)
+        assert (d.arity, d.terms) == (2, dict.fromkeys(keys, ONE)), g
+
+
+def test_coproduct_undefined_letters_raise():
+    for preset, g in ((SL3, "E12"), (SL3, "F12"), (qweyl_pair_preset(), "u")):
+        with pytest.raises(ValueError, match="coproduct is not defined"):
+            _coproduct_letter(preset, g)
+
+
+def test_mismatched_tensors_raise():
+    d = coproduct(gen(SL2, "E1"))
+    cases = [
+        (d, coproduct_on_leg(d, 0)),      # arity 2 against arity 3
+        (d, coproduct(gen(SL3, "E1"))),   # sl2 against sl3
+        (d, gen(SL2, "E1")),              # tensor against polynomial
+    ]
+    for x, y in cases:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(x, y)
+            with pytest.raises(ValueError):
+                op(y, x)
 
 
 def test_coproduct_multiplicative():

@@ -6,7 +6,9 @@ import pytest
 
 from mdlab.params import BParam
 from mdlab.qdilog import (
+    STRIP_MARGIN,
     PoleError,
+    PoleZeroClass,
     check_asymptotics,
     classify,
     gb,
@@ -88,6 +90,27 @@ def test_classification():
     assert classify(complex(0.0, 1.0), P).kind == "regular"
 
 
+@pytest.mark.parametrize("b", [0.7, 0.83, 1.2])
+def test_classification_covers_lattice(b):
+    p = BParam(b)
+    for n1 in range(7):
+        for n2 in range(7):
+            s = n1 * p.b + n2 / p.b
+            assert classify(-s, p) == PoleZeroClass("pole", n1, n2), (n1, n2)
+            assert classify(p.Q + s, p) == PoleZeroClass("zero", n1, n2), (n1, n2)
+
+
+@pytest.mark.parametrize("b", [0.7, 0.83, 1.2])
+def test_gb_at_every_lattice_point(b):
+    p = BParam(b)
+    for n1 in range(7):
+        for n2 in range(7):
+            s = n1 * p.b + n2 / p.b
+            with pytest.raises(PoleError):
+                gb(-s, p)
+            assert gb(p.Q + s, p) == 0.0, (n1, n2)
+
+
 def test_pole_raises():
     with pytest.raises(PoleError):
         gb(complex(0.0), P)
@@ -108,19 +131,27 @@ def test_batch_matches_scalar():
         assert abs(gb(complex(zi), P) - vi) < 1e-13 * abs(vi)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4)])
+def test_batch_layout_independent(shape):
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-P.Q, 2 * P.Q, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    assert np.array_equal(gb(z.T, P), gb(z, P).T)
+
+
 def test_strip_kernel_peak_memory():
     # The kernel works on one block of rows at a time, in place, so its peak
-    # is one _BLOCK_ROWS x len(t) complex matrix whatever the batch size.
+    # is one block of max(1, _BLOCK_VALUES // len(t)) rows of len(t)
+    # complex values whatever the batch size.
     import tracemalloc
 
-    from mdlab.qdilog import _BLOCK_ROWS, _t_grid
+    from mdlab.qdilog import _BLOCK_VALUES, _t_grid
 
     for n in (1000, 4000):
         rng = np.random.default_rng(11)
         z = rng.uniform(0.1 * P.Q, 0.9 * P.Q, n) + 1j * rng.uniform(-2.0, 2.0, n)
         t, _ = _t_grid(P, float(z.real.min()), float(P.Q - z.real.max()),
                        float(np.abs(z.imag).max()))
-        block_bytes = _BLOCK_ROWS * t.size * 16
+        block_bytes = max(1, _BLOCK_VALUES // t.size) * t.size * 16
         tracemalloc.start()
         try:
             log_gb_strip(z, P)
@@ -128,6 +159,21 @@ def test_strip_kernel_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * block_bytes, (n, peak, block_bytes)
+
+
+def test_strip_kernel_peak_memory_wide_grid():
+    # |Im z| = 20 next to the strip margin needs a grid of about 64,500
+    # nodes; a block of 128 such rows alone takes 132 MB.
+    import tracemalloc
+
+    x = np.linspace(STRIP_MARGIN, P.Q - STRIP_MARGIN, 256)
+    tracemalloc.start()
+    try:
+        log_gb_strip(x + 20j, P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def test_strip_guard():
