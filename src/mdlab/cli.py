@@ -10,10 +10,14 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+import numpy as np
+import sympy as sp
 
 from . import __version__
 from .report import CheckReport, summarize
@@ -145,8 +149,9 @@ def _validate(cfg: RunConfig) -> None:
     for s in cfg.suites:
         if s not in SUITES:
             raise UsageError(f"unknown suite {s!r}")
-    if cfg.b <= 0 or cfg.omega1 <= 0 or cfg.omega2 <= 0:
-        raise UsageError("b, omega1 and omega2 must be positive")
+    for name in ("b", "omega1", "omega2"):
+        if not 0 < getattr(cfg, name) < math.inf:
+            raise UsageError(f"{name} must be positive and finite")
     if cfg.trials < 1:
         raise UsageError("trials must be >= 1")
     if cfg.gl_rank < 2:
@@ -201,6 +206,11 @@ def run(cfg: RunConfig, out=sys.stdout) -> int:
 
     payload = {
         "version": __version__,
+        "libraries": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "sympy": sp.__version__,
+        },
         "config": asdict(cfg),
         "checks": [r.to_dict() for r in reports],
         "summary": summary,

@@ -80,8 +80,11 @@ class OmegaParams:
     qtilde: complex = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.omega1 > 0 and self.omega2 > 0):
-            raise ValueError("omega1 and omega2 must be positive")
+        if not (0 < self.omega1 < math.inf and 0 < self.omega2 < math.inf):
+            raise ValueError(
+                f"omega1 and omega2 must be positive finite reals, got "
+                f"{self.omega1} and {self.omega2}"
+            )
         ratio = self.omega1 / self.omega2
         for den in range(1, 7):
             if abs(ratio * den - round(ratio * den)) < 1e-3 * den:

@@ -9,16 +9,18 @@ product of operands from different presets or of different arities raises
 ``ValueError``.  Each preset fixes an alphabet, a total normal order on it
 (F-block, then K-block, then E-block) and a confluent set of adjacent-pair
 rewrite rules; normal ordering rewrites the leftmost reducible pair until
-none remains.  Field coefficients are reduced by construction, so two
-polynomials are equal in the quotient algebra iff their normal forms have
-the same terms.
+none remains.  A quantum-group preset also holds its Cartan matrix, which
+fixes the rules of its simple generators and the letters on which the
+coproduct is defined.  Field coefficients are reduced by construction, so
+two polynomials are equal in the quotient algebra iff their normal forms
+have the same terms.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import sympy as sp
 
@@ -26,6 +28,8 @@ from .coeffs import V, Coeff, canon, is_zero, qpow
 
 Word = tuple[str, ...]
 RuleBranch = tuple[Coeff, Word]
+Rules = dict[tuple[str, str], tuple[RuleBranch, ...]]
+Cartan = tuple[tuple[int, ...], ...]
 
 
 class RewriteError(RuntimeError):
@@ -34,13 +38,20 @@ class RewriteError(RuntimeError):
 
 @dataclass(frozen=True)
 class AlgebraPreset:
-    """Alphabet, normal order and rewrite rules of one quotient algebra."""
+    """Alphabet, normal order and rewrite rules of one quotient algebra, and
+    the Cartan matrix a_ij of its nodes 1..n (row i, column j; empty if it
+    has none), whose simple generators are E_i, F_i, K_i, K_i^{-1}."""
 
     name: str
     symbols: tuple[str, ...]
     rules: Mapping[tuple[str, str], tuple[RuleBranch, ...]]
+    cartan: Cartan = ()
     v: Coeff = V
     forbidden: frozenset[tuple[str, str]] = frozenset()
+
+    @property
+    def nodes(self) -> range:
+        return range(1, len(self.cartan) + 1)
 
     def validate_word(self, word: Word) -> None:
         for g in word:
@@ -199,53 +210,53 @@ class NCPoly(_Combination):
 
 
 # ---------------------------------------------------------------- presets
-def _commuting_block(
-    v: Coeff, symbols: Iterable[str]
-) -> dict[tuple[str, str], tuple[RuleBranch, ...]]:
-    """Plain swaps restoring the listed order within a commuting block."""
-    symbols = list(symbols)
-    rules: dict[tuple[str, str], tuple[RuleBranch, ...]] = {}
-    for i, a in enumerate(symbols):
-        for b in symbols[:i]:
-            rules[(a, b)] = ((canon(1, v), (b, a)),)
-    return rules
+def _letters(i: int) -> tuple[str, str, str, str]:
+    """Names of the simple generators E_i, F_i, K_i, K_i^{-1} of node i."""
+    return f"E{i}", f"F{i}", f"K{i}", f"K{i}i"
 
 
-def _node_rules(
-    v: Coeff,
-    cartan: Mapping[tuple[int, int], int],
-    nodes: Sequence[int],
-) -> dict[tuple[str, str], tuple[RuleBranch, ...]]:
-    """Simple-generator rules shared by every preset built on Cartan data."""
+def _weight_rules(v: Coeff, i: int, a: int, E: str, F: str) -> Rules:
+    """K_i E = q^a E K_i and K_i F = q^{-a} F K_i, as rules moving K_i^{+-1}
+    left of E and right of F."""
+    _, _, K, Ki = _letters(i)
+    return {
+        (E, K): ((qpow(-a, v), (K, E)),),
+        (E, Ki): ((qpow(a, v), (Ki, E)),),
+        (K, F): ((qpow(-a, v), (F, K)),),
+        (Ki, F): ((qpow(a, v), (F, Ki)),),
+    }
+
+
+def _cartan_rules(v: Coeff, cartan: Cartan) -> Rules:
+    """The rules a Cartan matrix fixes on the simple generators of its nodes
+    1..n: the K-block commutes and K_i K_i^{-1} = 1, K_i E_j = q^{a_ij} E_j K_i
+    and K_i F_j = q^{-a_ij} F_j K_i, [E_i, F_j] = delta_ij (K_i - K_i^{-1}) /
+    (q - q^{-1}), and E_j E_i -> E_i E_j, F_j F_i -> F_i F_j for i < j with
+    a_ij = 0.  The normal order puts the K-block in node order."""
     one = canon(1, v)
     qcomm = one / (qpow(1, v) - qpow(-1, v))
-    rules: dict[tuple[str, str], tuple[RuleBranch, ...]] = {}
+    nodes = range(1, len(cartan) + 1)
+    ks = [k for i in nodes for k in _letters(i)[2:]]
+    rules = {(a, b): ((one, (b, a)),) for n, a in enumerate(ks) for b in ks[:n]}
     for i in nodes:
-        K, Ki = f"K{i}", f"K{i}i"
-        rules[(K, Ki)] = ((one, ()),)
-        rules[(Ki, K)] = ((one, ()),)
+        Ei, Fi, K, Ki = _letters(i)
+        rules[(K, Ki)] = rules[(Ki, K)] = ((one, ()),)
+        rules[(Ei, Fi)] = ((one, (Fi, Ei)), (qcomm, (K,)), (-qcomm, (Ki,)))
         for j in nodes:
-            a = cartan[(i, j)]
-            E, F = f"E{j}", f"F{j}"
-            rules[(E, K)] = ((qpow(-a, v), (K, E)),)
-            rules[(E, Ki)] = ((qpow(a, v), (Ki, E)),)
-            rules[(K, F)] = ((qpow(-a, v), (F, K)),)
-            rules[(Ki, F)] = ((qpow(a, v), (F, Ki)),)
-            if i == j:
-                rules[(E, F)] = (
-                    (one, (F, E)),
-                    (qcomm, (K,)),
-                    (-qcomm, (Ki,)),
-                )
-            else:
-                rules[(f"E{i}", F)] = ((one, (F, f"E{i}")),)
+            Ej, Fj, _, _ = _letters(j)
+            rules.update(_weight_rules(v, i, cartan[i - 1][j - 1], Ej, Fj))
+            if i != j:
+                rules[(Ei, Fj)] = ((one, (Fj, Ei)),)
+            if i < j and cartan[i - 1][j - 1] == 0:
+                rules[(Ej, Ei)] = ((one, (Ei, Ej)),)
+                rules[(Fj, Fi)] = ((one, (Fi, Fj)),)
     return rules
 
 
 def sl2_preset(v: Coeff = V) -> AlgebraPreset:
+    cartan = ((2,),)
     symbols = ("F1", "K1", "K1i", "E1")
-    rules = _node_rules(v, {(1, 1): 2}, (1,))
-    return AlgebraPreset("sl2", symbols, rules, v=v)
+    return AlgebraPreset("sl2", symbols, _cartan_rules(v, cartan), cartan, v=v)
 
 
 def sl3_preset(v: Coeff = V) -> AlgebraPreset:
@@ -259,21 +270,17 @@ def sl3_preset(v: Coeff = V) -> AlgebraPreset:
         E1*E12 = q^{-1} * E12*E1
         E12*E2 = q^{-1} * E2*E12
 
-    and mirrored for F.  Adjacencies mixing E12/F12 with opposite-type
-    simple generators have no straightening rule and raise.
+    and mirrored for F.  E12 and F12 carry the weight of root 1 + root 2, so
+    K_i E12 = q^{a_i1 + a_i2} E12 K_i.  Adjacencies mixing E12/F12 with
+    opposite-type simple generators have no straightening rule and raise.
     """
     q, qi = qpow(1, v), qpow(-1, v)
     minus_i_v = canon(-sp.I, v) * v
-    cartan = {(1, 1): 2, (2, 2): 2, (1, 2): -1, (2, 1): -1}
+    cartan = ((2, -1), (-1, 2))
     symbols = ("F2", "F12", "F1", "K1", "K1i", "K2", "K2i", "E2", "E12", "E1")
-    rules = _commuting_block(v, ("K1", "K1i", "K2", "K2i"))
-    rules.update(_node_rules(v, cartan, (1, 2)))
-    # Non-simple root letters: K commutation picks up q^{a_i1 + a_i2} = q.
-    for i in (1, 2):
-        rules[("E12", f"K{i}")] = ((qi, (f"K{i}", "E12")),)
-        rules[("E12", f"K{i}i")] = ((q, (f"K{i}i", "E12")),)
-        rules[(f"K{i}", "F12")] = ((qi, ("F12", f"K{i}")),)
-        rules[(f"K{i}i", "F12")] = ((q, ("F12", f"K{i}i")),)
+    rules = _cartan_rules(v, cartan)
+    for i, row in enumerate(cartan, 1):
+        rules.update(_weight_rules(v, i, sum(row), "E12", "F12"))
     rules[("E1", "E2")] = ((q, ("E2", "E1")), (minus_i_v, ("E12",)))
     rules[("E1", "E12")] = ((qi, ("E12", "E1")),)
     rules[("E12", "E2")] = ((qi, ("E2", "E12")),)
@@ -283,19 +290,15 @@ def sl3_preset(v: Coeff = V) -> AlgebraPreset:
     forbidden = frozenset(
         [("E12", "F1"), ("E12", "F2"), ("E12", "F12"), ("E1", "F12"), ("E2", "F12")]
     )
-    return AlgebraPreset("sl3", symbols, rules, v=v, forbidden=forbidden)
+    return AlgebraPreset("sl3", symbols, rules, cartan, v=v, forbidden=forbidden)
 
 
 def commuting_pair_preset(v: Coeff = V) -> AlgebraPreset:
     """Two nodes with zero Cartan pairing: all cross pairs commute."""
-    one = canon(1, v)
-    cartan = {(1, 1): 2, (2, 2): 2, (1, 2): 0, (2, 1): 0}
+    cartan = ((2, 0), (0, 2))
     symbols = ("F1", "F2", "K1", "K1i", "K2", "K2i", "E1", "E2")
-    rules = _commuting_block(v, ("K1", "K1i", "K2", "K2i"))
-    rules.update(_node_rules(v, cartan, (1, 2)))
-    rules[("F2", "F1")] = ((one, ("F1", "F2")),)
-    rules[("E2", "E1")] = ((one, ("E1", "E2")),)
-    return AlgebraPreset("commuting_pair", symbols, rules, v=v)
+    rules = _cartan_rules(v, cartan)
+    return AlgebraPreset("commuting_pair", symbols, rules, cartan, v=v)
 
 
 def qweyl_pair_preset(v: Coeff = V) -> AlgebraPreset:
@@ -388,17 +391,19 @@ class NCTensor(_Combination):
 
 def _coproduct_letter(preset: AlgebraPreset, g: str) -> NCTensor:
     """Delta(E_i) = E_i (x) 1 + K_i^{-1} (x) E_i, Delta(F_i) = 1 (x) F_i +
-    F_i (x) K_i and Delta(K_i^{+-1}) = K_i^{+-1} (x) K_i^{+-1}, nodes 1, 2."""
-    kind, node = g[:1], g[1:]
-    if kind == "E" and node in ("1", "2"):
-        terms = {((g,), ()): 1, ((f"K{node}i",), (g,)): 1}
-    elif kind == "F" and node in ("1", "2"):
-        terms = {((), (g,)): 1, ((g,), (f"K{node}",)): 1}
-    elif kind == "K" and node in ("1", "1i", "2", "2i"):
-        terms = {((g,), (g,)): 1}
-    else:
-        raise ValueError(f"coproduct is not defined on {g!r}")
-    return NCTensor(preset, 2, terms)
+    F_i (x) K_i and Delta(K_i^{+-1}) = K_i^{+-1} (x) K_i^{+-1}, for the
+    simple generators of the preset's nodes."""
+    for i in preset.nodes:
+        E, F, K, Ki = _letters(i)
+        letters = {
+            E: {((E,), ()): 1, ((Ki,), (E,)): 1},
+            F: {((), (F,)): 1, ((F,), (K,)): 1},
+            K: {((K,), (K,)): 1},
+            Ki: {((Ki,), (Ki,)): 1},
+        }
+        if g in letters:
+            return NCTensor(preset, 2, letters[g])
+    raise ValueError(f"coproduct is not defined on {g!r}")
 
 
 def coproduct(x: NCPoly) -> NCTensor:

@@ -15,7 +15,11 @@ sits at Im t = pi*min(b, 1/b)/4, an eighth of the height of the first
 poles, each tail is cut where the integrand's decay bound falls to e^{-40},
 and the cut never lies beyond |t| = 512.  The kernel evaluates a batch in
 blocks of at most 2**17 values, so its memory is bounded whatever the batch
-size and however long the grid.
+size and however long the grid.  The panels narrow as |Im z| grows, and a
+batch whose grid would exceed 2**20 nodes raises ValueError, as does a
+non-finite z.  That happens past |Im z| of about 340 when the batch reaches
+both strip margins and of a few thousand near the middle of the strip, where
+gb's reduction puts its points.
 
 Outside the strip the argument is reduced back into it with the shift
 equation G_b(z + b^{±1}) = (1 - e^{2 pi i b^{±1} z}) G_b(z), accumulating
@@ -52,6 +56,11 @@ _TAIL_LOG = 40.0
 
 # Largest truncation half-width of the defining integral.
 _MAX_T = 512.0
+
+# Largest G_b quadrature grid (16 MB of complex128 nodes).  A resource
+# bound, not an accuracy domain: the widest grid any check builds has
+# 64,512 nodes (|Im z| = 20 at the strip margin).
+_MAX_NODES = 2**20
 
 # Values per strip-kernel block (2 MB of complex128): the kernel takes as
 # many rows of z as fit against its grid, so its memory grows neither with
@@ -119,32 +128,43 @@ def _t_grid(
 
     Panel widths resolve both the nearby singularity at t = 0 (distance =
     contour elevation) and the e^{i*Im(z)*t} oscillation; the truncation on
-    each side comes from the analytic decay rates of the integrand.
+    each side comes from the analytic decay rates of the integrand.  Raises
+    ValueError once the grid would exceed _MAX_NODES nodes.
     """
     eps = _contour_elevation(p)
     w_max = min(2.0, 8.0 / (1.0 + ymax))
     nodes, weights = _leggauss(24)
-
-    def side_edges(T: float) -> list[float]:
+    panels = _MAX_NODES // len(nodes)
+    ts, ws = [], []
+    for sign, delta in ((1.0, delta_pos), (-1.0, delta_neg)):
+        T = min(_TAIL_LOG / delta, _MAX_T)
         edges = [0.0]
         w = min(eps, w_max)
         while edges[-1] < T:
+            if panels == 0:
+                raise ValueError(
+                    f"|Im z| = {ymax} needs a G_b grid of more than {_MAX_NODES} nodes"
+                )
+            panels -= 1
             edges.append(min(edges[-1] + w, T))
             w = min(2.0 * w, w_max)
-        return edges
-
-    T_pos = min(_TAIL_LOG / delta_pos, _MAX_T)
-    T_neg = min(_TAIL_LOG / delta_neg, _MAX_T)
-    ts, ws = [], []
-    for sign, T in ((1.0, T_pos), (-1.0, T_neg)):
-        edges = side_edges(T)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            ts.append(sign * (mid + half * nodes))
-            ws.append(half * weights)
+        e = np.array(edges)
+        mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
+        ts.append(sign * (mid[:, None] + half[:, None] * nodes).ravel())
+        ws.append((half[:, None] * weights).ravel())
     t = np.concatenate(ts)
     w = np.concatenate(ws)
     return t + 1j * eps, w
+
+
+def _finite_array(z: complex | np.ndarray) -> np.ndarray:
+    """``z`` as a complex array of at least one dimension; ValueError if any
+    entry is not finite."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    finite = np.isfinite(zs)
+    if not finite.all():
+        raise ValueError(f"z = {zs[~finite][0]} is not finite")
+    return zs
 
 
 def log_gb_strip(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
@@ -153,7 +173,7 @@ def log_gb_strip(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
     Accepts a scalar or an array; arrays share one quadrature grid sized for
     the worst decay rate and largest |Im z| in the batch.
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    zs = _finite_array(z)
     x = zs.real
     low, high = STRIP_MARGIN, p.Q - STRIP_MARGIN
     if np.any(x < low) or np.any(x > high):
@@ -238,7 +258,7 @@ def gb(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
     Zero-lattice points return exactly 0; all other points are reduced into
     the strip and evaluated from the integral representation.
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    zs = _finite_array(z)
     out = np.zeros(zs.size, dtype=complex)
     reduced: list[complex] = []
     mults: list[complex] = []

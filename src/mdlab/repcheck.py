@@ -398,9 +398,11 @@ def verify_relation(
     The error of a trial is |D f (x)| divided by the largest magnitude of
     any single constituent term, so relations whose two sides cancel to
     zero identically are still scored relative to the size of what
-    cancelled."""
+    cancelled.  Fewer than one trial raises RepresentationError."""
     start = time.perf_counter()
     require_rank(N)
+    if trials < 1:
+        raise RepresentationError(f"need trials >= 1, got trials = {trials}")
     pairs = relation_index_pairs(rel_id, N)
     worst = 0.0
     worst_at = None

@@ -88,6 +88,8 @@ SHORT_RUN = ["--suite", "representation", "--gl-rank", "2", "--trials", "1"]
     (["--b", "abc"], "b = abc"),
     (["--tol", "nosuite=1e-8"], "tol.nosuite = 1e-8"),
     (["--tol", "symbolic=1e-3"], "tol.symbolic = 1e-3"),
+    (["--b", "nan"], "b = nan"),
+    (["--omega1", "inf"], "omega1 = inf"),
 ])
 def test_bad_input_exits_usage_by_flag_and_file(tmp_path, monkeypatch, capsys, flag, line):
     monkeypatch.setenv("MDLAB_REPORT_DIR", str(tmp_path))
@@ -131,6 +133,7 @@ def test_run_writes_report_and_exit_zero(tmp_path):
     assert payload["summary"]["failed"] == 0
     assert payload["summary"]["total"] == len(payload["checks"])
     assert payload["config"]["b"] == 0.9
+    assert set(payload["libraries"]) == {"python", "numpy", "sympy"}
     for check in payload["checks"]:
         assert {"identity_id", "params", "rel_error", "tolerance", "passed"} <= set(check)
     assert "[PASS]" in out.getvalue()

@@ -42,5 +42,6 @@ def test_omega_params():
 def test_omega_near_rational_warns():
     with pytest.warns(RuntimeWarning):
         OmegaParams(1.0, 2.0)
-    with pytest.raises(ValueError):
-        OmegaParams(-1.0, 1.0)
+    for bad in ((-1.0, 1.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="positive finite"):
+            OmegaParams(*bad)

@@ -29,6 +29,7 @@ from mdlab.qalgebra import (
     verify_qbinomial,
     verify_serre_sum,
 )
+from mdlab.qalgebra.checks import _defining_relations, _vanishing_commutators
 from mdlab.qalgebra.ncpoly import _coproduct_letter
 
 SL2 = sl2_preset()
@@ -232,6 +233,40 @@ def test_commuting_cases():
     assert verify_commuting_cases().passed
 
 
+@pytest.mark.parametrize("build", [sl2_preset, sl3_preset, commuting_pair_preset])
+@pytest.mark.parametrize("v", [V, V_TILDE], ids=["v", "w"])
+def test_defining_relations_hold_in_preset(build, v):
+    preset = build(v)
+    for label, rel in _defining_relations(preset):
+        assert rel.normal_order().is_zero(), (preset.name, label)
+
+
+def test_defining_relations_read_off_cartan():
+    labels = [label for label, _ in _defining_relations(SL3)]
+    assert len(labels) == len(set(labels)) == 18
+    assert {"K1E2", "K1F2", "K2E1", "K2F1", "serre E1^2E2", "serre F1^2F2",
+            "serre E2^2E1", "serre F2^2F1"} <= set(labels)
+    assert [label for label, _ in _defining_relations(SL2)] == [
+        "K1K1i", "[E1,F1]", "K1E1", "K1F1"
+    ]
+    assert _defining_relations(qweyl_pair_preset()) == []
+    pair = [label for label, _ in _vanishing_commutators(commuting_pair_preset())]
+    assert pair == ["[E1,F2]", "[E1,E2]", "[F1,F2]", "[E2,F1]"]
+    assert [label for label, _ in _vanishing_commutators(SL3)] == ["[E1,F2]", "[E2,F1]"]
+
+
+def test_presets_derive_nodes_from_cartan():
+    assert list(SL2.nodes) == [1]
+    assert list(SL3.nodes) == list(commuting_pair_preset().nodes) == [1, 2]
+    assert list(qweyl_pair_preset().nodes) == []
+    # E12/F12 carry the weight of root 1 + root 2: K_i E12 = q^{a_i1 + a_i2} E12 K_i
+    for i in (1, 2):
+        K = gen(SL3, f"K{i}")
+        E12, F12 = gen(SL3, "E12"), gen(SL3, "F12")
+        assert (K * E12 - Q * (E12 * K)).normal_order().is_zero()
+        assert (K * F12 - QI * (F12 * K)).normal_order().is_zero()
+
+
 def test_qbinomial_explicit_n2():
     rep = verify_qbinomial(2)
     assert rep.passed
@@ -281,7 +316,9 @@ def test_coproduct_letter_rules():
 
 
 def test_coproduct_undefined_letters_raise():
-    for preset, g in ((SL3, "E12"), (SL3, "F12"), (qweyl_pair_preset(), "u")):
+    for preset, g in (
+        (SL3, "E12"), (SL3, "F12"), (SL2, "E2"), (qweyl_pair_preset(), "u")
+    ):
         with pytest.raises(ValueError, match="coproduct is not defined"):
             _coproduct_letter(preset, g)
 

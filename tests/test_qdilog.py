@@ -181,6 +181,28 @@ def test_strip_guard():
         log_gb_strip(complex(-0.5, 0.0), P)
 
 
+@pytest.mark.parametrize("z", [
+    complex(1.0, math.nan), complex(math.nan, 0.0), complex(1.0, math.inf),
+    complex(-math.inf, 0.0),
+])
+def test_non_finite_z_raises(z):
+    for f in (gb, log_gb_strip):
+        for arg in (z, np.array([1.0 + 0.5j, z])):
+            with pytest.raises(ValueError, match="not finite"):
+                f(arg, P)
+
+
+def test_grid_node_cap():
+    # The grid narrows its panels as |Im z| grows; past 2**20 nodes it
+    # raises at once instead of building gigabytes (or never finishing).
+    assert np.isfinite(gb(1.0 + 300j, P))
+    for y in (1e4, 1e300):
+        with pytest.raises(ValueError, match="nodes"):
+            gb(complex(1.0, y), P)
+        with pytest.raises(ValueError, match="nodes"):
+            log_gb_strip(complex(1.0, y), P)
+
+
 def test_strip_edges():
     # Both edges of the domain STRIP_MARGIN <= Re z <= Q - STRIP_MARGIN.
     for x in (0.04, P.Q - 0.04):

@@ -226,6 +226,16 @@ def test_rank_below_two_raises():
             representation_suite(gl_rank=N)
 
 
+def test_no_trials_raises():
+    for trials in (0, -1):
+        with pytest.raises(RepresentationError, match="trials"):
+            verify_relation("k_raise", 2, P, trials=trials)
+        with pytest.raises(RepresentationError, match="trials"):
+            verify_all(3, P, trials=trials)
+        with pytest.raises(RepresentationError, match="trials"):
+            representation_suite(gl_rank=2, trials=trials)
+
+
 def test_unknown_relation():
     with pytest.raises(RepresentationError):
         verify_relation("no_such_relation", 2, P)
