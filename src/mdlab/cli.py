@@ -20,6 +20,7 @@ import numpy as np
 import sympy as sp
 
 from . import __version__
+from .params import check_b
 from .report import CheckReport, summarize
 from .suites import (
     integrals_suite,
@@ -149,7 +150,11 @@ def _validate(cfg: RunConfig) -> None:
     for s in cfg.suites:
         if s not in SUITES:
             raise UsageError(f"unknown suite {s!r}")
-    for name in ("b", "omega1", "omega2"):
+    try:
+        check_b(cfg.b)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    for name in ("omega1", "omega2"):
         if not 0 < getattr(cfg, name) < math.inf:
             raise UsageError(f"{name} must be positive and finite")
     if cfg.trials < 1:

@@ -35,13 +35,15 @@ class ContourPlacementError(ValueError):
 
 
 def _gb_ratio(numerator: list, denominator: list, p: BParam, phase=None):
-    """phase * G_b(n_1) * ... * G_b(n_k) / (G_b(d_1) * ... * G_b(d_m)),
-    one gb call per argument, multiplied from left to right."""
-    values = [gb(z, p) for z in numerator]
-    value = functools.reduce(operator.mul, values if phase is None else [phase, *values])
-    if denominator:
-        value = value / functools.reduce(operator.mul, [gb(z, p) for z in denominator])
-    return value
+    """phase * G_b(n_1) * ... * G_b(n_k) / (G_b(d_1) * ... * G_b(d_m)), from
+    one gb call on all the arguments, multiplied from left to right; a
+    Python complex when every argument is a scalar."""
+    values = list(gb(np.stack(np.broadcast_arrays(*numerator, *denominator)), p))
+    top, bottom = values[:len(numerator)], values[len(numerator):]
+    value = functools.reduce(operator.mul, top if phase is None else [phase, *top])
+    if bottom:
+        value = value / functools.reduce(operator.mul, bottom)
+    return value if np.ndim(value) else complex(value)
 
 
 def _check(

@@ -14,6 +14,17 @@ import warnings
 from dataclasses import dataclass, field
 
 
+def check_b(b: float) -> None:
+    """ValueError unless b is positive and finite and pi*b^2 and pi/b^2 are
+    finite doubles, so that q, qtilde and zeta_b can be formed (about
+    1e-154 < b < 1e154)."""
+    if not (b > 0 and math.isfinite(b)):
+        raise ValueError(f"b must be a positive finite real, got {b}")
+    b2 = b * b
+    if not (b2 > 0 and math.isfinite(math.pi * b2) and math.isfinite(math.pi / b2)):
+        raise ValueError(f"b = {b}: b^2 or b^-2 overflows or underflows double precision")
+
+
 @dataclass(frozen=True)
 class BParam:
     """Deformation datum ``b`` with its derived constants.
@@ -37,8 +48,7 @@ class BParam:
     omega2: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValueError(f"b must be a positive finite real, got {self.b}")
+        check_b(self.b)
         b = self.b
         object.__setattr__(self, "Q", b + 1.0 / b)
         object.__setattr__(self, "q", cmath.exp(1j * math.pi * b * b))

@@ -11,15 +11,32 @@ below the first poles on the imaginary axis at 2*pi*i*min(b, 1/b).
 
 The numerical policy is fixed, not configurable: the strip is evaluated
 only at distance STRIP_MARGIN = 0.05 or more from its edges, the contour
-sits at Im t = pi*min(b, 1/b)/4, an eighth of the height of the first
+sits at Im t = eps = pi*min(b, 1/b)/4, an eighth of the height of the first
 poles, each tail is cut where the integrand's decay bound falls to e^{-40},
-and the cut never lies beyond |t| = 512.  The kernel evaluates a batch in
-blocks of at most 2**17 values, so its memory is bounded whatever the batch
-size and however long the grid.  The panels narrow as |Im z| grows, and a
-batch whose grid would exceed 2**20 nodes raises ValueError, as does a
-non-finite z.  That happens past |Im z| of about 340 when the batch reaches
-both strip margins and of a few thousand near the middle of the strip, where
-gb's reduction puts its points.
+and the cut never lies beyond |t| = 512.
+
+Each panel of the grid carries the n = 24 point Gauss-Legendre rule and is
+as wide as a stated bound allows.  All singularities lie on the imaginary
+axis, the nearest being t = 0.  For any Bernstein ellipse E_rho, rho =
+e^lam, with foci at the panel's ends that avoids t = 0, the rule's error is
+about pi (2n)^2 rho^(-2n) e^{|Im z| h sinh lam} on a panel of half-width h:
+rho^(-2n) is the rate of E_rho (Trefethen, Approximation Theory and
+Approximation Practice, 2013, ch. 19), pi (2n)^2 what the third-order pole
+adds when E_rho reaches it, and e^{|Im z| h sinh lam} the growth of e^{zt}
+on E_rho.  Each panel is the widest for which some E_rho keeps this below
+e^{-40}, the tail target.  So panels grow geometrically away from t = 0
+and are never wider than 26.0/|Im z|.  Against a 30-digit mpmath integral
+the kernel agrees to about 2e-14 for |Im z| <= 3 and to 1e-12 up to
+|Im z| = 8; below the real axis cancellation costs digits as |Im z| grows.
+
+A batch is split into bands, the octaves [2^k, 2^(k+1)) of 1 + |Im z|, and
+each band is evaluated on its own grid, sized for the band's decay rates
+and largest |Im z|.  The kernel evaluates a band in blocks of at most 2**17
+values, so its memory is bounded whatever the batch size and however long
+the grid.  A band whose grid would exceed 2**20 nodes raises ValueError, as
+does a non-finite z.  That happens past |Im z| of about 1,100 when the band
+reaches both strip margins and of about 14,000 near the middle of the
+strip, where gb's reduction puts its points.
 
 Outside the strip the argument is reduced back into it with the shift
 equation G_b(z + b^{±1}) = (1 - e^{2 pi i b^{±1} z}) G_b(z), accumulating
@@ -50,17 +67,22 @@ TWO_PI_I = 2j * math.pi
 #: Minimum distance kept from the edges of the strip 0 < Re z < Q.
 STRIP_MARGIN = 0.05
 
-# Target accuracy of the defining-integral tail truncation; well below the
-# 1e-9 identity tolerances so shift products dominate the error budget.
+# Target accuracy, as e^-_TAIL_LOG, of the defining integral's tail
+# truncation and of each grid panel; well below the 1e-9 identity
+# tolerances so shift products dominate the error budget.
 _TAIL_LOG = 40.0
 
 # Largest truncation half-width of the defining integral.
 _MAX_T = 512.0
 
 # Largest G_b quadrature grid (16 MB of complex128 nodes).  A resource
-# bound, not an accuracy domain: the widest grid any check builds has
-# 64,512 nodes (|Im z| = 20 at the strip margin).
+# bound, not an accuracy domain: the widest grid any suite or benchmark
+# workload builds has 1,728 nodes, and |Im z| = 20 at both strip margins
+# takes 18,960.
 _MAX_NODES = 2**20
+
+# Gauss-Legendre nodes per panel of the G_b grid.
+_PANEL_NODES = 24
 
 # Values per strip-kernel block (2 MB of complex128): the kernel takes as
 # many rows of z as fit against its grid, so its memory grows neither with
@@ -121,34 +143,82 @@ def _contour_elevation(p: BParam) -> float:
     return 0.25 * min(math.pi * p.b, math.pi / p.b)
 
 
+def _bisect(turns, lo: float, hi: float) -> float:
+    """Upper end of a 40-halving bracket of the point in [lo, hi] where the
+    monotone predicate ``turns`` becomes true; turns(hi) must be true."""
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if turns(mid) else (mid, hi)
+    return hi
+
+
+# The panel-width bound of _panel_edges, in lam = log(rho) of the Bernstein
+# ellipse E_rho: the rule's error factor pi (2n)^2 rho^(-2n) reaches
+# e^-_TAIL_LOG at _LAM_MIN, and the oscillation-limited half-width
+# 2n (lam - _LAM_MIN)/(|Im z| sinh lam) peaks at _LAM_OSC, where
+# lam - tanh(lam) = _LAM_MIN (below _LAM_MIN + 1, as tanh < 1), with the
+# value _OSC_HALF_WIDTH/|Im z|.
+_LAM_MIN = (_TAIL_LOG + math.log(math.pi * (2 * _PANEL_NODES) ** 2)) / (2 * _PANEL_NODES)
+_LAM_OSC = _bisect(lambda lam: lam - math.tanh(lam) >= _LAM_MIN, _LAM_MIN, _LAM_MIN + 1.0)
+_OSC_HALF_WIDTH = 2 * _PANEL_NODES * (_LAM_OSC - _LAM_MIN) / math.sinh(_LAM_OSC)
+
+
+def _panel_edges(eps: float, ymax: float, T: float, budget: int) -> np.ndarray:
+    """Edges 0 = e_0 < e_1 < ... < e_m = T of the panels along one side of
+    the contour Im t = eps; ValueError if m would exceed ``budget``.
+
+    A panel [a, a + 2h] is the widest whose Bernstein ellipse E_rho, rho =
+    e^lam, avoids t = 0 and bounds the rule's error pi (2n)^2 rho^(-2n)
+    e^{|Im z| h sinh lam} by e^-_TAIL_LOG for some lam.  The ellipse has
+    semi-axes h cosh lam and h sinh lam, so it avoids t = 0 while h <= (a +
+    d cosh lam)/sinh^2 lam, d = |a + i eps|.  Near t = 0 that singularity
+    binds and the panels grow geometrically; once the oscillation binds,
+    every further panel has half-width _OSC_HALF_WIDTH/|Im z|.
+    """
+    h_osc = _OSC_HALF_WIDTH / ymax if ymax > 0 else math.inf
+    edges = [0.0]
+    while edges[-1] < T:
+        a = edges[-1]
+        d = math.hypot(a, eps)
+
+        def clears_zero(lam: float) -> bool:
+            # The oscillation bound at lam allows a panel no narrower than
+            # the widest whose ellipse E_{e^lam} avoids t = 0.
+            return (math.sinh(lam) * 2 * _PANEL_NODES * (lam - _LAM_MIN)
+                    >= ymax * (a + d * math.cosh(lam)))
+
+        if not clears_zero(_LAM_OSC):
+            break
+        lam = _bisect(clears_zero, _LAM_MIN, _LAM_OSC)
+        edges.append(a + 2.0 * (a + d * math.cosh(lam)) / math.sinh(lam) ** 2)
+    a, left = edges[-1], budget - (len(edges) - 1)
+    if left < 0 or T - a > 2.0 * h_osc * left:
+        raise ValueError(
+            f"|Im z| = {ymax} needs a G_b grid of more than {_MAX_NODES} nodes"
+        )
+    if a < T:
+        width = 2.0 * h_osc
+        edges.extend(a + width * np.arange(1, math.ceil((T - a) / width) + 1))
+    edges[-1] = T
+    return np.array(edges)
+
+
 def _t_grid(
     p: BParam, delta_neg: float, delta_pos: float, ymax: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre composite grid on the elevated line.
 
-    Panel widths resolve both the nearby singularity at t = 0 (distance =
-    contour elevation) and the e^{i*Im(z)*t} oscillation; the truncation on
-    each side comes from the analytic decay rates of the integrand.  Raises
-    ValueError once the grid would exceed _MAX_NODES nodes.
+    The panels are those of _panel_edges on each side of t = 0; the
+    truncation on each side comes from the analytic decay rates of the
+    integrand.  Raises ValueError once the grid would exceed _MAX_NODES nodes.
     """
     eps = _contour_elevation(p)
-    w_max = min(2.0, 8.0 / (1.0 + ymax))
-    nodes, weights = _leggauss(24)
-    panels = _MAX_NODES // len(nodes)
+    nodes, weights = _leggauss(_PANEL_NODES)
+    budget = _MAX_NODES // _PANEL_NODES
     ts, ws = [], []
     for sign, delta in ((1.0, delta_pos), (-1.0, delta_neg)):
-        T = min(_TAIL_LOG / delta, _MAX_T)
-        edges = [0.0]
-        w = min(eps, w_max)
-        while edges[-1] < T:
-            if panels == 0:
-                raise ValueError(
-                    f"|Im z| = {ymax} needs a G_b grid of more than {_MAX_NODES} nodes"
-                )
-            panels -= 1
-            edges.append(min(edges[-1] + w, T))
-            w = min(2.0 * w, w_max)
-        e = np.array(edges)
+        e = _panel_edges(eps, ymax, min(_TAIL_LOG / delta, _MAX_T), budget)
+        budget -= len(e) - 1
         mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
         ts.append(sign * (mid[:, None] + half[:, None] * nodes).ravel())
         ws.append((half[:, None] * weights).ravel())
@@ -167,23 +237,11 @@ def _finite_array(z: complex | np.ndarray) -> np.ndarray:
     return zs
 
 
-def log_gb_strip(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
-    """log G_b(z) for z in the strip STRIP_MARGIN <= Re z <= Q - STRIP_MARGIN.
-
-    Accepts a scalar or an array; arrays share one quadrature grid sized for
-    the worst decay rate and largest |Im z| in the batch.
-    """
-    zs = _finite_array(z)
-    x = zs.real
-    low, high = STRIP_MARGIN, p.Q - STRIP_MARGIN
-    if np.any(x < low) or np.any(x > high):
-        bad = zs[(x < low) | (x > high)][0]
-        raise ValueError(
-            f"z = {bad} is not inside the strip ({low}, {high}); "
-            "reduce with the shift equation first"
-        )
-    delta_neg = float(np.min(x))            # decay rate towards t -> -inf
-    delta_pos = float(p.Q - np.max(x))      # decay rate towards t -> +inf
+def _strip_integral(zs: np.ndarray, p: BParam) -> np.ndarray:
+    """I(z) of the module docstring for the 1-d array ``zs``, on one grid
+    sized for its worst decay rates and its largest |Im z|."""
+    delta_neg = float(np.min(zs.real))          # decay rate towards t -> -inf
+    delta_pos = float(p.Q - np.max(zs.real))    # decay rate towards t -> +inf
     ymax = float(np.max(np.abs(zs.imag)))
     t, w = _t_grid(p, delta_neg, delta_pos, ymax)
 
@@ -209,7 +267,32 @@ def log_gb_strip(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
         np.exp(vals, out=vals)
         vals /= den
         integral[lo:lo + len(rows)] = vals @ w
-    out = np.log(np.conj(p.zeta_b)) - integral
+    return integral
+
+
+def log_gb_strip(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
+    """log G_b(z) for z in the strip STRIP_MARGIN <= Re z <= Q - STRIP_MARGIN.
+
+    Accepts a scalar or an array.  The points of an array are grouped into
+    bands, octaves [2^k, 2^(k+1)) of 1 + |Im z|, and each band is evaluated
+    on its own grid, so a large |Im z| widens the grid of its own band only.
+    """
+    zs = _finite_array(z)
+    x = zs.real
+    low, high = STRIP_MARGIN, p.Q - STRIP_MARGIN
+    if np.any(x < low) or np.any(x > high):
+        bad = zs[(x < low) | (x > high)][0]
+        raise ValueError(
+            f"z = {bad} is not inside the strip ({low}, {high}); "
+            "reduce with the shift equation first"
+        )
+    flat = zs.ravel()
+    band = np.frexp(1.0 + np.abs(flat.imag))[1]
+    integral = np.empty_like(flat)
+    for k in sorted(set(band.tolist())):
+        sel = band == k
+        integral[sel] = _strip_integral(flat[sel], p)
+    out = np.log(np.conj(p.zeta_b)) - integral.reshape(zs.shape)
     return out if np.ndim(z) else complex(out[0])
 
 

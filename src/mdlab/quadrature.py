@@ -59,23 +59,30 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_values(
+def _panels(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    a: np.ndarray,
+    b: np.ndarray,
     offset: float,
-    n: int,
-) -> complex:
-    x, w = _leggauss(n)
+) -> list[tuple[float, float, complex, float]]:
+    """(a, b, fine, |fine - coarse|) of each panel [a_i, b_i] + offset*i, with
+    the 20- and 30-point Gauss-Legendre rules on all panels from one call of f."""
+    x20, w20 = _leggauss(20)
+    x30, w30 = _leggauss(30)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    tau = mid + half * x + 1j * offset
-    y = np.asarray(f(tau), dtype=complex)
-    if not np.all(np.isfinite(y)):
+    tau = mid[:, None] + half[:, None] * np.concatenate([x20, x30]) + 1j * offset
+    y = np.asarray(f(tau.ravel()), dtype=complex).reshape(tau.shape)
+    finite = np.isfinite(y).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
         raise QuadratureError(
-            f"integrand returned non-finite values on [{a}, {b}] + {offset}i "
+            f"integrand returned non-finite values on [{a[i]}, {b[i]}] + {offset}i "
             "(pole on or near the contour?)"
         )
-    return complex(half * np.sum(w * y))
+    coarse = half * (y[:, :20] @ w20)
+    fine = half * (y[:, 20:] @ w30)
+    return [(float(ai), float(bi), complex(fi), float(abs(fi - ci)))
+            for ai, bi, fi, ci in zip(a, b, fine, coarse)]
 
 
 def _choose_truncation(
@@ -84,15 +91,16 @@ def _choose_truncation(
     cfg: QuadratureConfig,
     initial_T: float,
 ) -> float:
-    """Double T until the sampled envelope implies a negligible tail."""
+    """Double T until the sampled envelope implies a negligible tail; each
+    probe samples both ends in one call of f."""
     T = initial_T
     while True:
         ok = True
-        for sign in (+1.0, -1.0):
-            pts = sign * np.array([T - 1.0, T - 0.5, T]) + 1j * offset
-            vals = np.abs(np.asarray(f(pts), dtype=complex))
-            if not np.all(np.isfinite(vals)):
-                raise QuadratureError("non-finite integrand while probing decay")
+        pts = np.array([T - 1.0, T - 0.5, T, 1.0 - T, 0.5 - T, -T]) + 1j * offset
+        probes = np.abs(np.asarray(f(pts), dtype=complex)).reshape(2, 3)
+        if not np.all(np.isfinite(probes)):
+            raise QuadratureError("non-finite integrand while probing decay")
+        for sign, vals in zip((+1.0, -1.0), probes):
             v_in, v_out = vals[0], vals[-1]
             if v_out < 1e-300:
                 continue
@@ -124,17 +132,12 @@ def integrate_line(
     The caller guarantees two-sided exponential decay; this is validated by
     envelope sampling before any panel is refined.  Panels are bisected
     greedily, worst error first, using a 20/30-point Gauss-Legendre pair as
-    the error estimator.
+    the error estimator.  Each round calls ``f`` once: on the nodes of all
+    initial panels, then on those of both halves of each bisected panel.
     """
     T = _choose_truncation(f, offset, cfg, initial_T)
     edges = np.linspace(-T, T, _INITIAL_PANELS + 1)
-
-    def panel(a: float, b: float) -> tuple[float, float, complex, float]:
-        coarse = _panel_values(f, a, b, offset, 20)
-        fine = _panel_values(f, a, b, offset, 30)
-        return a, b, fine, abs(fine - coarse)
-
-    panels = [panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    panels = _panels(f, edges[:-1], edges[1:], offset)
 
     for _ in range(cfg.max_refinements):
         total = sum(p[2] for p in panels)
@@ -145,7 +148,7 @@ def integrate_line(
         worst = max(range(len(panels)), key=lambda i: panels[i][3])
         a, b, _, _ = panels.pop(worst)
         m = 0.5 * (a + b)
-        panels += [panel(a, m), panel(m, b)]
+        panels += _panels(f, np.array([a, m]), np.array([m, b]), offset)
 
     raise NonConvergenceError(
         f"line integral did not converge after {cfg.max_refinements} refinements "

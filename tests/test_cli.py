@@ -90,6 +90,8 @@ SHORT_RUN = ["--suite", "representation", "--gl-rank", "2", "--trials", "1"]
     (["--tol", "symbolic=1e-3"], "tol.symbolic = 1e-3"),
     (["--b", "nan"], "b = nan"),
     (["--omega1", "inf"], "omega1 = inf"),
+    (["--b", "1e200"], "b = 1e200"),
+    (["--b", "1e-200"], "b = 1e-200"),
 ])
 def test_bad_input_exits_usage_by_flag_and_file(tmp_path, monkeypatch, capsys, flag, line):
     monkeypatch.setenv("MDLAB_REPORT_DIR", str(tmp_path))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import pytest
@@ -21,6 +22,18 @@ def test_invalid_b():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             BParam(bad)
+
+
+def test_b_whose_square_leaves_double_range():
+    # b^2 or b^-2 overflows or underflows: rejected by name, not with a
+    # "math domain error" or ZeroDivisionError from q or zeta_b.
+    for b in (1e200, 1e-200, 1e154, 1e-154, 5e-324):
+        with pytest.raises(ValueError, match=re.escape(f"b = {b!r}: b^2 or b^-2 overflows")):
+            BParam(b)
+    for b in (1e153, 1e-153):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert abs(BParam(b).zeta_b) == pytest.approx(1.0)
 
 
 def test_degenerate_b_warns():

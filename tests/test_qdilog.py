@@ -22,26 +22,28 @@ from mdlab.qdilog import (
 P = BParam(0.83)
 
 
-def test_strip_value_against_independent_quadrature():
+@pytest.mark.parametrize("zc", [
+    0.9 + 0.2j, 0.85 - 1.5j, 1.2 + 3.0j, 1.1 - 5.0j, 0.8 + 5.5j, 1.0 + 8.0j,
+], ids=str)
+def test_strip_value_against_independent_quadrature(zc):
     # Independent oracle: evaluate the defining integral with mpmath's
-    # adaptive quadrature on the same elevated contour.
+    # adaptive quadrature on a contour of another elevation, split where
+    # e^{zt} oscillates and where the integrand peaks near t = 0.
     import mpmath as mp
 
     mp.mp.dps = 30
-    z = mp.mpc(0.9, 0.2)
+    z = mp.mpc(zc)
     b = mp.mpf(P.b)
-    Q = b + 1 / b
     eps = mp.mpf(0.25)
 
     def integrand(u):
         t = u + 1j * eps
         return mp.e ** (z * t) / ((1 - mp.e ** (b * t)) * (1 - mp.e ** (t / b)) * t)
 
-    integral = mp.quad(integrand, [-60, 0, 60])
+    integral = mp.quad(integrand, [-60, -20, -8, -3, -1, 0, 1, 3, 8, 20, 60])
     zeta = mp.e ** (1j * mp.pi / 4 + 1j * mp.pi * (b**2 + b**-2) / 12)
-    expected = mp.conj(zeta) * mp.e ** (-integral)
-    ours = gb(complex(0.9, 0.2), P)
-    assert abs(ours - complex(expected)) < 1e-12
+    expected = complex(mp.conj(zeta) * mp.e ** (-integral))
+    assert abs(gb(zc, P) - expected) <= 1e-12 * abs(expected)
 
 
 def test_functional_equation_single_shifts():
@@ -125,7 +127,11 @@ def test_zero_lattice_exact():
 
 
 def test_batch_matches_scalar():
-    zs = np.array([0.4 + 0.3j, 1.0 - 0.2j, 2.5 + 1.0j, -0.3 + 0.4j])
+    # The batch spans the bands of 1 + |Im z| in [1, 2), [2, 4), [4, 8) and
+    # [16, 32), each on its own grid.  The |Im z| = 20 points lie above the
+    # axis: far below it the kernel's cancellation error exceeds 1e-13.
+    zs = np.array([0.4 + 0.3j, 1.0 - 0.2j, 2.5 + 1.0j, -0.3 + 0.4j,
+                   0.7 + 6.0j, 1.3 - 5.8j, 0.9 + 20.0j, 1.6 + 19.5j])
     batch = gb(zs, P)
     for zi, vi in zip(zs, batch):
         assert abs(gb(complex(zi), P) - vi) < 1e-13 * abs(vi)
@@ -193,14 +199,22 @@ def test_non_finite_z_raises(z):
 
 
 def test_grid_node_cap():
-    # The grid narrows its panels as |Im z| grows; past 2**20 nodes it
-    # raises at once instead of building gigabytes (or never finishing).
-    assert np.isfinite(gb(1.0 + 300j, P))
-    for y in (1e4, 1e300):
+    # Far from t = 0 every panel is 2 * _OSC_HALF_WIDTH / |Im z| wide, so at
+    # z = x + iy the two tails, cut at _TAIL_LOG / x and _TAIL_LOG / (Q - x),
+    # fill 2**20 nodes at y_cap.  From there on the grid raises at once
+    # instead of building gigabytes (or never finishing).
+    from mdlab.qdilog import _MAX_NODES, _OSC_HALF_WIDTH, _PANEL_NODES, _TAIL_LOG
+
+    x = 1.0
+    tails = _TAIL_LOG / x + _TAIL_LOG / (P.Q - x)
+    y_cap = _MAX_NODES / _PANEL_NODES * 2 * _OSC_HALF_WIDTH / tails
+    for y in (300.0, y_cap / 2):
+        assert np.isfinite(gb(complex(x, y), P))
+    for y in (y_cap, 1e300):
         with pytest.raises(ValueError, match="nodes"):
-            gb(complex(1.0, y), P)
+            gb(complex(x, y), P)
         with pytest.raises(ValueError, match="nodes"):
-            log_gb_strip(complex(1.0, y), P)
+            log_gb_strip(complex(x, y), P)
 
 
 def test_strip_edges():

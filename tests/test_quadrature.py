@@ -19,6 +19,22 @@ def test_gaussian_on_real_line():
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
+@pytest.mark.parametrize("a, refinements", [(1.0, 0), (1000.0, 4)])
+def test_one_integrand_call_per_panel_round(a, refinements):
+    # One call per truncation probe (both ends, 3 points each), one on the
+    # 20- and 30-point nodes of all 16 initial panels, and one on both halves
+    # of each bisected panel: probes + 1 + refinements calls in all.
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return np.exp(-a * t**2)
+
+    val = integrate_line(f, 0.0, CFG)
+    assert val == pytest.approx(math.sqrt(math.pi / a), rel=1e-12)
+    assert sizes == [6] + [16 * 50] + [2 * 50] * refinements
+
+
 def test_gaussian_contour_shift_invariance():
     # exp(-t^2) is entire with uniform decay: the integral cannot depend on
     # the elevation of the line.
