@@ -1,9 +1,11 @@
 """Difference-operator representation of the modular double of gl(N).
 
 Generators act on functions of the triangular variable array gamma_{nj} by
-meromorphic coefficients and imaginary shifts.  Both quantum-group families
-(deformation parameters q and its modular dual) and all sign cross-relations
-between them are verified pointwise on random entire test functions.
+meromorphic coefficients and imaginary shifts.  The demo applies a
+q-commutation relation to a random entire test function at one point
+(TestFunction, apply_operator); verify_relation and verify_all score both
+quantum-group families (deformation parameters q and its modular dual) and
+all sign cross-relations per shift class at random points.
 """
 
 import numpy as np

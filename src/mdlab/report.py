@@ -37,7 +37,7 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         """The one verdict rule: ``rel_error <= tolerance`` (NaN fails)."""
-        return self.rel_error <= self.tolerance
+        return bool(self.rel_error <= self.tolerance)
 
     def to_dict(self) -> dict:
         return {

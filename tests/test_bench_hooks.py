@@ -1,10 +1,11 @@
-"""The benchmark's tracer must leave the program as it found it.
+"""The benchmark's hooks into the library must keep working.
 
 ``bench/tracing.py`` replaces library names (module globals and methods)
 with timing wrappers for one traced round.  If a module renames or stops
 importing a name the tracer patches, ``install`` fails or the restore in
 ``uninstall`` misses it; either breaks later, untraced runs in the same
-process.
+process.  ``bench/controls.py`` builds the representation's negative
+control from the public ``repcheck`` names.
 """
 
 import sys
@@ -24,6 +25,15 @@ def tracing(monkeypatch):
     sys.modules.pop("tracing", None)
 
 
+@pytest.fixture
+def controls(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import controls
+
+    yield controls
+    sys.modules.pop("controls", None)
+
+
 def test_tracer_restores_every_patched_name(tracing):
     tracer = tracing.Tracer()
     try:
@@ -36,3 +46,10 @@ def test_tracer_restores_every_patched_name(tracing):
         tracer.uninstall()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+
+
+def test_representation_control(controls):
+    # K_2 E_1 = q^-1 E_1 K_2 at N = 3; a wrong q-power or sign must fail
+    assert controls.relation_score(3, 2, 1, 0, 1.0, 3, 0) <= 1e-8
+    assert controls.relation_score(3, 2, 1, 1, 1.0, 3, 0) > 1e-5
+    assert controls.relation_score(3, 2, 1, 0, -1.0, 3, 0) > 1e-5

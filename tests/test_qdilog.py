@@ -168,8 +168,9 @@ def test_strip_kernel_peak_memory():
 
 
 def test_strip_kernel_peak_memory_wide_grid():
-    # |Im z| = 20 next to the strip margin needs a grid of about 64,500
-    # nodes; a block of 128 such rows alone takes 132 MB.
+    # |Im z| = 20 next to the strip margin needs a grid of 18,960 nodes at
+    # b = 0.83: a block of 128 such rows takes 38.8 MB, and the whole
+    # 256-point batch unblocked 77.7 MB.
     import tracemalloc
 
     x = np.linspace(STRIP_MARGIN, P.Q - STRIP_MARGIN, 256)
@@ -255,6 +256,18 @@ def test_asymptotics():
     for T in (8.0, 12.0):
         rep = check_asymptotics(P.Q / 2, T, P)
         assert rep.passed and rep.rel_error < 1e-9
+
+
+def test_asymptotics_report_is_json():
+    # At b = 0.3 and x = Q/2 the upper-branch deviation dominates and comes
+    # back as a numpy float; the verdict must still be a plain bool.
+    import json
+
+    p = BParam(0.3)
+    for x in (P.Q / 2, p.Q / 2):
+        rep = check_asymptotics(x, 8.0, p)
+        assert type(rep.passed) is bool
+        json.dumps(rep.to_dict())
 
 
 def test_q_exponential_functional_equation():

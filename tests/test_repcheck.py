@@ -1,6 +1,5 @@
 import cmath
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,14 +10,17 @@ from mdlab.repcheck import (
     ALL_RELATIONS,
     RepresentationError,
     ShiftOperator,
+    ShiftTerm,
     TestFunction,
     apply_operator,
     build_generator,
+    class_scores,
     compose,
+    compose_all,
     gz_indices,
     relation_index_pairs,
     sample_point,
-    term_magnitudes,
+    term_values,
     verify_all,
     verify_relation,
 )
@@ -33,7 +35,7 @@ def const_one(_):
 
 def test_identity_operator():
     g = {(1, 1): 0.4 + 0j, (2, 1): 1.0 + 0j, (2, 2): -0.6 + 0j}
-    I = ShiftOperator.identity()
+    I = ShiftOperator((ShiftTerm(),))
     f = TestFunction({(1, 1): 0.3 + 0.1j}, {(1, 1): 0.02})
     assert apply_operator(I, f, g, P) == pytest.approx(f(g))
 
@@ -250,27 +252,55 @@ def test_unknown_relation():
 SCORED = [("ef_commutator", 2), ("serre_raise", 3), ("cross_raise_traise", 3)]
 
 
-def _seeded_trials(rel_id, N, trials=3, seed=5):
-    """(operator, test function, point) of every trial verify_relation runs."""
+def _class_score(values, shifts):
+    """Worst |sum| / max|.| over the groups of values sharing a non-zero shift."""
+    groups = {}
+    for v, sh in zip(values, shifts):
+        key = frozenset((idx, ab) for idx, ab in sh.items() if ab != (0, 0))
+        groups.setdefault(key, []).append(v)
+    return max(abs(sum(vs)) / max(map(abs, vs)) for vs in groups.values())
+
+
+@pytest.mark.parametrize("rel_id, N", SCORED)
+def test_score_is_worst_shift_class(rel_id, N):
+    # the coefficients are term_values against f = 1, one point at a time
+    seed, trials, scores = 5, 3, []
     for n, m in relation_index_pairs(rel_id, N):
         D = repcheck._relation_operator(rel_id, n, m, N, P)
+        shifts = [t.shift for t in D.terms]
         for trial in range(trials):
-            rng = np.random.default_rng([seed, N, n, m, trial])
-            f = TestFunction.random(N, rng)
-            yield D, f, sample_point(N, rng)
+            x = sample_point(N, np.random.default_rng([seed, N, n, m, trial]))
+            scores.append(_class_score(term_values(D, lambda g: 1.0, x, P), shifts))
+    got = verify_relation(rel_id, N, P, trials=trials, seed=seed).rel_error
+    assert got == pytest.approx(max(scores), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("rel_id, N", SCORED)
-def test_each_term_evaluated_once(rel_id, N):
-    terms = sum(len(D.terms) for D, _, _ in _seeded_trials(rel_id, N))
-    with mock.patch.object(TestFunction, "__call__", autospec=True,
-                           side_effect=TestFunction.__call__) as call:
-        verify_relation(rel_id, N, P, trials=3, seed=5)
-    assert call.call_count == terms
+@pytest.mark.parametrize("N, n, m", [(2, 1, 1), (3, 2, 2), (3, 2, 1), (4, 3, 2)])
+def test_k_e_controls(N, n, m):
+    # K_n E_m = q^p E_m K_n with p = delta(n, m) - delta(n, m + 1)
+    K, E = build_generator("K", n, N, P), build_generator("E_raise", m, N, P)
+    power = int(n == m) - int(n == m + 1)
+    rng = np.random.default_rng(3)
+    points = [sample_point(N, rng) for _ in range(10)]
+    x = {idx: np.array([g[idx] for g in points]) for idx in gz_indices(N)}
+
+    def score(extra, sign):
+        D = compose_all([K, E], P) - compose_all([E, K], P).scale(sign * P.q ** (power + extra))
+        return class_scores(D, x).max()
+
+    assert score(0, 1.0) <= 1e-8
+    assert score(1, 1.0) > 1e-5
+    assert score(0, -1.0) > 1e-5
 
 
-@pytest.mark.parametrize("rel_id, N", SCORED)
-def test_score_matches_apply_and_magnitudes(rel_id, N):
-    scores = [abs(apply_operator(D, f, x, P)) / max(term_magnitudes(D, f, x, P))
-              for D, f, x in _seeded_trials(rel_id, N)]
-    assert verify_relation(rel_id, N, P, trials=3, seed=5).rel_error == max(scores)
+def test_shift_classes():
+    x = {(1, 1): np.array([0.3, -0.4]), (2, 1): np.array([1.0, 0.2])}
+    c = ((np.sinh, (((1, 1), 1), ((2, 1), -1)), 0.25j, 1.0, 1),)
+    zero_shift = ShiftTerm(2.0, {(1, 1): (0, 0)}, c)
+    # a zero entry leaves a term in the unshifted class
+    D = ShiftOperator((ShiftTerm(2.0, {}, c),)) - ShiftOperator((zero_shift,))
+    assert np.array_equal(class_scores(D, x), [0.0, 0.0])
+    # equal terms with distinct shifts cannot cancel
+    shifted = ShiftTerm(2.0, {(1, 1): (1, 0)}, c)
+    D = ShiftOperator((ShiftTerm(2.0, {}, c),)) - ShiftOperator((shifted,))
+    assert np.array_equal(class_scores(D, x), [1.0, 1.0])
