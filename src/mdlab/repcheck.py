@@ -16,6 +16,7 @@ and operator builder; the tilde family is generated from the plain one.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -160,18 +161,20 @@ def term_magnitudes(
 
 
 def class_scores(A: ShiftOperator, gamma: dict[GZIndex, np.ndarray]) -> np.ndarray:
-    """The worst |sum c| / max |c| (0 where all c = 0) over the classes of
-    terms sharing a non-zero integer shift, at the points of gamma.  Shifts
-    are linearly independent over meromorphic functions, so A vanishes
-    exactly when every class sums to 0."""
-    c = coefficients(A, gamma)
-    classes: dict[frozenset, list[np.ndarray]] = {}
-    for t, ct in zip(A.terms, c):
-        classes.setdefault(frozenset(s for s in t.shift.items() if s[1] != (0, 0)), []).append(ct)
-    worst = np.zeros(c.shape[1:])
-    for cs in classes.values():
-        total, scale = np.abs(sum(cs)), np.max(np.abs(cs), axis=0)
-        worst = np.maximum(worst, np.divide(total, scale, out=np.zeros_like(total), where=scale > 0))
+    """The worst |sum c| / max |c| over the classes of terms sharing a
+    non-zero integer shift, at the points of gamma.  Shifts are linearly
+    independent over meromorphic functions, so A vanishes exactly when every
+    class sums to 0.  At a generic point no coefficient is 0 or infinite;
+    where one is, a factor over- or underflowed, and the score is NaN."""
+    with np.errstate(all="ignore"):
+        c = coefficients(A, gamma)
+        classes: dict[frozenset, list[np.ndarray]] = {}
+        for t, ct in zip(A.terms, c):
+            classes.setdefault(frozenset(s for s in t.shift.items() if s[1] != (0, 0)), []).append(ct)
+        worst = np.where((np.isfinite(c) & (c != 0)).all(axis=0), 0.0, np.nan)
+        for cs in classes.values():
+            total, scale = np.abs(sum(cs)), np.max(np.abs(cs), axis=0)
+            worst = np.maximum(worst, total / scale)
     return worst
 
 
@@ -249,13 +252,8 @@ def sample_point(N: int, rng: np.random.Generator) -> Gamma:
     idx = gz_indices(N)
     for _ in range(_MAX_REJECTIONS):
         g = dict(zip(idx, map(complex, rng.uniform(-2.0, 2.0, len(idx)).tolist())))
-        ok = all(
-            abs(g[(n, i)].real - g[(n, j)].real) >= ROW_SEPARATION
-            for n in range(1, N + 1)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        )
-        if ok:
+        if all(abs(g[a].real - g[b].real) >= ROW_SEPARATION
+               for a, b in itertools.combinations(idx, 2) if a[0] == b[0]):
             return g
     raise RepresentationError("could not sample a generic point")
 
@@ -397,25 +395,29 @@ def verify_relation(
 ) -> CheckReport:
     """Verify one relation at every index pair: class_scores of the trial
     points that sample_point draws from the seeds [seed, N, n, m, trial],
-    all trials of a pair at once.  Fewer than one trial raises
+    all trials of a pair at once.  The first non-finite score ends the sweep
+    and becomes rel_error, so the check fails.  Fewer than one trial raises
     RepresentationError."""
     start = time.perf_counter()
     require_rank(N)
     if trials < 1:
         raise RepresentationError(f"need trials >= 1, got trials = {trials}")
     pairs = relation_index_pairs(rel_id, N)
-    worst = 0.0
-    worst_at = None
+    worst, worst_at = 0.0, None
     for n, m in pairs:
         D = _relation_operator(rel_id, n, m, N, p)
         points = [sample_point(N, np.random.default_rng([seed, N, n, m, trial]))
                   for trial in range(trials)]
         x = {idx: np.array([g[idx] for g in points]) for idx in points[0]}
         scores = class_scores(D, x)
-        trial = int(np.argmax(scores))
-        if scores[trial] > worst:
+        trial = int(np.argmax(scores))  # the first NaN, if there is one
+        if not scores[trial] <= worst:
             worst, worst_at = float(scores[trial]), (n, m, trial)
-    if worst_at is not None:
+            if not math.isfinite(worst):
+                break
+    if not math.isfinite(worst):
+        detail = f"non-finite score at (n, m, trial) = {worst_at}"
+    elif worst_at is not None:
         detail = f"worst at (n, m, trial) = {worst_at}"
     elif pairs:
         detail = f"every trial scored exactly 0 (index pairs: {len(pairs)})"
@@ -447,8 +449,5 @@ def verify_all(
 ) -> list[CheckReport]:
     """Run every relation of the catalogue that has index pairs at this N."""
     require_rank(N)
-    reports = []
-    for rel_id in ALL_RELATIONS:
-        if relation_index_pairs(rel_id, N):
-            reports.append(verify_relation(rel_id, N, p, trials, seed, tolerance))
-    return reports
+    return [verify_relation(rel_id, N, p, trials, seed, tolerance)
+            for rel_id in ALL_RELATIONS if relation_index_pairs(rel_id, N)]

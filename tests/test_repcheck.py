@@ -67,6 +67,31 @@ def test_e_raise_hand_evaluation():
     assert apply_operator(E, const_one, g, P) == pytest.approx(expected)
 
 
+def test_composed_coefficients_hand_evaluation():
+    # E_raise(2) E_lower(2) at N = 3: E_lower's coefficient is read at the
+    # point E_raise displaced, gamma_21 -> gamma_21 - i*omega1
+    g = {(1, 1): 0.2, (2, 1): 0.6, (2, 2): -0.5, (3, 1): 1.1, (3, 2): -0.1, (3, 3): -1.3}
+    D = compose(build_generator("E_raise", 2, 3, P), build_generator("E_lower", 2, 3, P), P)
+    c = repcheck.coefficients(D, {idx: np.array([complex(v)]) for idx, v in g.items()})[:, 0]
+
+    def S(z):
+        return cmath.sinh(math.pi * z / P.omega2)
+
+    hs, qq = 0.5j * (P.omega1 + P.omega2), P.q - 1.0 / P.q
+    raise_1 = (2.0 * cmath.exp(1j * math.pi * (P.omega1 + P.omega2) / (2 * P.omega2)) / qq
+               * S(g[(2, 1)] - g[(3, 1)] - hs) * S(g[(2, 1)] - g[(3, 2)] - hs)
+               * S(g[(2, 1)] - g[(3, 3)] - hs) / S(g[(2, 1)] - g[(2, 2)]))
+    lower = 2.0 * cmath.exp(-1j * math.pi * (P.omega1 + P.omega2) / (2 * P.omega2)) / qq
+    g21 = g[(2, 1)] - 1j * P.omega1
+    # term (j1, j2) = (1, 1): shifts cancel; (1, 2): E_lower acts on gamma_22
+    assert D.terms[0].shift == {(2, 1): (0, 0)}
+    assert c[0] == pytest.approx(
+        raise_1 * lower * S(g21 - g[(1, 1)] + hs) / S(g21 - g[(2, 2)]), rel=1e-12)
+    assert D.terms[1].shift == {(2, 1): (1, 0), (2, 2): (-1, 0)}
+    assert c[1] == pytest.approx(
+        raise_1 * lower * S(g[(2, 2)] - g[(1, 1)] + hs) / S(g[(2, 2)] - g21), rel=1e-12)
+
+
 def test_shift_bookkeeping():
     for n, kind, pair in ((1, "E_raise", (1, 0)), (2, "E_raise", (1, 0)),
                           (1, "tE_raise", (0, 1)), (2, "tE_lower", (0, -1))):
@@ -304,3 +329,18 @@ def test_shift_classes():
     shifted = ShiftTerm(2.0, {(1, 1): (1, 0)}, c)
     D = ShiftOperator((ShiftTerm(2.0, {}, c),)) - ShiftOperator((shifted,))
     assert np.array_equal(class_scores(D, x), [1.0, 1.0])
+    # exp(pi * gamma_11 / 1e-4) overflows at the first point and underflows
+    # at the second; either way, at either power, the score is NaN even
+    # though the two terms would cancel
+    for power in (1, -1):
+        big = ((np.exp, (((1, 1), 1),), 0j, 1e-4, power),)
+        D = ShiftOperator((ShiftTerm(2.0, {}, big),)) - ShiftOperator((ShiftTerm(2.0, {}, big),))
+        assert np.isnan(class_scores(D, x)).all()
+
+
+@pytest.mark.parametrize("rel_id", ["tilde_ef_commutator", "cross_raise_traise"])
+def test_overflowing_coefficients_fail(rel_id):
+    # pi * |gamma| / omega1 reaches ~4000 here, past exp's overflow at ~710
+    rep = verify_relation(rel_id, 3, OmegaParams(0.003, 1.0), trials=5)
+    assert math.isnan(rep.rel_error) and not rep.passed
+    assert rep.detail.startswith("non-finite score at (n, m, trial) = ")
