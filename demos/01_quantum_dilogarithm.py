@@ -37,7 +37,7 @@ print(f"  G_b(b)   = {gb(p.b, p):.12g}   (expected {-1j * p.b:.12g})")
 print(f"  G_b(1/b) = {gb(1 / p.b, p):.12g}   (expected {-1j / p.b:.12g})")
 print(f"  G_b(Q)   = {gb(complex(p.Q), p)}   (zero of the function)")
 
-print("\n-- residues at the pole lattice: closed form vs extrapolated limit --")
+print("\n-- residues at the pole lattice: closed form vs circle integral --")
 for n1, n2 in ((0, 0), (1, 0), (2, 1)):
     closed = residue_coeff(n1, n2, p)
     numeric = residue_limit(n1, n2, p)

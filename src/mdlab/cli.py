@@ -183,9 +183,7 @@ def run(cfg: RunConfig, out=sys.stdout) -> int:
     start = time.perf_counter()
     reports: list[CheckReport] = []
     if "qdilog" in cfg.suites:
-        reports += qdilog_suite(
-            b_values=(cfg.b,), tolerance=cfg.tolerances.get("qdilog")
-        )
+        reports += qdilog_suite(b=cfg.b, tolerance=cfg.tolerances.get("qdilog", 1e-9))
     if "integrals" in cfg.suites:
         reports += integrals_suite(
             b=cfg.b, tolerance=cfg.tolerances.get("integrals", 1e-6)

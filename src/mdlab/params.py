@@ -63,17 +63,19 @@ class BParam:
         self._warn_if_near_degenerate()
 
     def _warn_if_near_degenerate(self) -> None:
-        # Denominators like 1 - q^{2k} blow up when b^2 is close to a rational
-        # with a small denominator; numerics degrade quantitatively there.
+        # Denominators like 1 - q^{2k} and 1 - qtilde^{2k} blow up when b^2 or
+        # b^-2 is close to a rational with a small denominator; numerics
+        # degrade quantitatively there.
         for k in range(1, 9):
-            if abs(self.q ** (2 * k) - 1.0) < 1e-6:
-                warnings.warn(
-                    f"b={self.b} is nearly degenerate: |q^{2 * k} - 1| < 1e-6; "
-                    "identity denominators may blow up",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return
+            for name, x in (("q", self.q), ("qtilde", self.qtilde)):
+                if abs(x ** (2 * k) - 1.0) < 1e-6:
+                    warnings.warn(
+                        f"b={self.b} is nearly degenerate: |{name}^{2 * k} - 1| "
+                        "< 1e-6; identity denominators may blow up",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+                    return
 
 
 @dataclass(frozen=True)

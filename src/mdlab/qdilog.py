@@ -43,9 +43,10 @@ equation G_b(z + b^{±1}) = (1 - e^{2 pi i b^{±1} z}) G_b(z), accumulating
 the finite product of factors exactly.
 
 Also provided: pole/zero classification on the lattices -n1*b - n2/b and
-Q + n1*b + n2/b, each searched in full so that no lattice point is missed,
-residue coefficients at the poles, the q-exponential analog g_b, and an
-asymptotic-behavior checker.
+Q + n1*b + n2/b, each searched in full so that no lattice point is missed;
+residue coefficients at the poles, in closed form and as a circle integral
+of G_b whose radius comes from the same lattice search; the q-exponential
+analog g_b; and an asymptotic-behavior checker.
 """
 
 from __future__ import annotations
@@ -89,9 +90,6 @@ _PANEL_NODES = 24
 # the batch nor with the grid, which widens with |Im z| and near the margin.
 _BLOCK_VALUES = 2**17
 
-# Sample radii x0 / 2^k, k < _RESIDUE_LEVELS, of the residue extrapolation.
-_RESIDUE_LEVELS = 6
-
 
 class PoleError(ValueError):
     """G_b was requested exactly at (or too near) a pole."""
@@ -106,12 +104,18 @@ class PoleZeroClass:
     n2: int = 0
 
 
-def _nearest_lattice_point(s: float, p: BParam) -> tuple[float, int, int]:
-    """(distance, n1, n2) of the point n1*b + n2/b, n1, n2 >= 0, nearest to
-    the real ``s``: every n1 up to floor(s/b) + 1, each with its nearest n2."""
+def _nearest_lattice_point(
+    s: float, p: BParam, skip: tuple[int, int] | None = None
+) -> tuple[float, int, int]:
+    """(distance, n1, n2) of the point n1*b + n2/b, n1, n2 >= 0, other than
+    ``skip``, nearest to the real ``s``: every n1 up to floor(s/b) + 1, each
+    with its nearest n2, or its next nearest where that is ``skip``."""
     best = (math.inf, 0, 0)
     for n1 in range(max(0, math.floor(s / p.b)) + 2):
-        n2 = max(0, round((s - n1 * p.b) * p.b))
+        x = (s - n1 * p.b) * p.b
+        n2 = max(0, round(x))
+        if (n1, n2) == skip:
+            n2 += 1 if x > n2 or n2 == 0 else -1
         d = abs(s - n1 * p.b - n2 / p.b)
         if d < best[0]:
             best = (d, n1, n2)
@@ -414,36 +418,21 @@ def residue_coeff(n1: int, n2: int, p: BParam) -> complex:
     return coeff
 
 
-def _nearest_other_pole(n1: int, n2: int, p: BParam) -> float:
-    """Distance from pole (n1, n2) to the rest of the pole lattice."""
-    target = -n1 * p.b - n2 / p.b
-    d = math.inf
-    for m1 in range(0, n1 + 5):
-        for m2 in range(0, n2 + 5):
-            if (m1, m2) == (n1, n2):
-                continue
-            d = min(d, abs(target + m1 * p.b + m2 / p.b))
-    return d
-
-
 def residue_limit(n1: int, n2: int, p: BParam) -> complex:
-    """Richardson-extrapolated limit of x * G_b(x - n1*b - n2/b) as x -> 0.
+    """lim_{x->0} x * G_b(x - n1*b - n2/b) as the circle integral
+    (1/2 pi i) * contour integral of G_b around the pole.
 
-    Independent numerical oracle for :func:`residue_coeff`.  The sample
-    radius stays well inside the distance to the nearest neighboring pole,
-    which can be small when b^2 is close to a rational.
+    Independent numerical oracle for :func:`residue_coeff`: one gb call on
+    64 equispaced points w of the circle |w| = d/2, d the distance to the
+    nearest other pole, returning the mean of w * G_b(pole + w).  The
+    trapezoidal rule on a circle converges geometrically, here as (1/2)^64
+    (Trefethen & Weideman, SIAM Review 56, 2014), so the oracle is as
+    accurate as gb on the circle for every b.
     """
-    shift = -n1 * p.b - n2 / p.b
-    x0 = min(0.08, 0.2 * _nearest_other_pole(n1, n2, p))
-    xs = [x0 / 2.0 ** k for k in range(_RESIDUE_LEVELS)]
-    vals = [x * gb(x + shift, p) for x in xs]
-    # Neville extrapolation to x = 0.
-    for m in range(1, _RESIDUE_LEVELS):
-        for i in range(_RESIDUE_LEVELS - m):
-            vals[i] = (xs[i] * vals[i + 1] - xs[i + m] * vals[i]) / (
-                xs[i] - xs[i + m]
-            )
-    return vals[0]
+    s = n1 * p.b + n2 / p.b
+    d = _nearest_lattice_point(s, p, skip=(n1, n2))[0]
+    w = 0.5 * d * np.exp(TWO_PI_I * np.arange(64) / 64)
+    return complex(np.mean(w * gb(w - s, p)))
 
 
 def check_asymptotics(

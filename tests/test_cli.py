@@ -152,6 +152,13 @@ def test_run_failure_exit(tmp_path):
     assert payload["summary"]["failed"] > 0
 
 
+def test_qdilog_suite_at_small_b(tmp_path):
+    # b = 0.3 puts the pole -11b next to -1/b; the residue oracle must
+    # sample inside that gap, so the suite passes.
+    report = str(tmp_path / "rep.json")
+    assert main(["--suite", "qdilog", "--b", "0.3", "--report", report]) == EXIT_OK
+
+
 def test_report_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("MDLAB_REPORT_DIR", str(tmp_path / "sub"))
     cfg = RunConfig(suites=["representation"], gl_rank=2, trials=2)

@@ -39,6 +39,11 @@ def test_b_whose_square_leaves_double_range():
 def test_degenerate_b_warns():
     with pytest.warns(RuntimeWarning):
         BParam(1.0)  # b^2 = 1: q^2 = 1 exactly
+    # b and 1/b swap q and qtilde, so both of each pair warn: q^2 = 1 at
+    # b = 5 and 4, qtilde^2 = 1 at b = 0.2 and 0.25.
+    for b in (0.2, 5.0, 0.25, 4.0):
+        with pytest.warns(RuntimeWarning, match="nearly degenerate"):
+            BParam(b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         BParam(0.83)  # fine

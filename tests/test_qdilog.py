@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mdlab.qdilog import (
     STRIP_MARGIN,
     PoleError,
     PoleZeroClass,
+    _nearest_lattice_point,
     check_asymptotics,
     classify,
     gb,
@@ -18,6 +20,7 @@ from mdlab.qdilog import (
     residue_limit,
     shift_product,
 )
+from mdlab.suites import qdilog_suite
 
 P = BParam(0.83)
 
@@ -232,7 +235,7 @@ def test_residues_match_closed_form():
         for n2 in range(3):
             closed = residue_coeff(n1, n2, P)
             numeric = residue_limit(n1, n2, P)
-            assert abs(numeric - closed) / abs(closed) < 1e-4
+            assert abs(numeric - closed) / abs(closed) < 1e-9
 
 
 def test_residue_near_degenerate_spacing():
@@ -241,7 +244,29 @@ def test_residue_near_degenerate_spacing():
     p = BParam(0.7)
     closed = residue_coeff(2, 0, p)
     numeric = residue_limit(2, 0, p)
-    assert abs(numeric - closed) / abs(closed) < 1e-4
+    assert abs(numeric - closed) / abs(closed) < 1e-9
+
+
+def test_nearest_other_pole_searches_whole_lattice():
+    # b = 0.3: the pole nearest to -1/b = -3.333 is -11b = -3.3, which a
+    # search over small n1 alone misses; the residue radius comes from it.
+    p = BParam(0.3)
+    d, n1, n2 = _nearest_lattice_point(1.0 / p.b, p, skip=(0, 1))
+    assert (n1, n2) == (11, 0)
+    assert d == pytest.approx(1.0 / 30.0, rel=1e-12)
+    assert _nearest_lattice_point(0.0, p, skip=(0, 0))[1:] == (1, 0)
+
+
+@pytest.mark.parametrize("b", [0.13, 0.3, 0.45, 2.5, 5.3, 7.7])
+def test_qdilog_suite_passes_away_from_083(b):
+    # Residue radii and asymptotic heights follow b, so the suite holds far
+    # from b = 0.83, and the residue oracle agrees with the closed form.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # b = 2.5: q^8 = 1
+        reports = qdilog_suite(b)
+    assert [r.identity_id for r in reports if not r.passed] == []
+    residues = next(r for r in reports if r.identity_id == "residues")
+    assert residues.rel_error < 1e-11
 
 
 def test_shift_product_vs_direct():
