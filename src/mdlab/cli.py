@@ -182,12 +182,12 @@ def _report_path(cfg: RunConfig) -> Path:
 def run(cfg: RunConfig, out=sys.stdout) -> int:
     start = time.perf_counter()
     reports: list[CheckReport] = []
+    # a suite keeps its own default tolerance unless the user set one
+    tol = {suite: {"tolerance": t} for suite, t in cfg.tolerances.items()}
     if "qdilog" in cfg.suites:
-        reports += qdilog_suite(b=cfg.b, tolerance=cfg.tolerances.get("qdilog", 1e-9))
+        reports += qdilog_suite(b=cfg.b, **tol.get("qdilog", {}))
     if "integrals" in cfg.suites:
-        reports += integrals_suite(
-            b=cfg.b, tolerance=cfg.tolerances.get("integrals", 1e-6)
-        )
+        reports += integrals_suite(b=cfg.b, **tol.get("integrals", {}))
     if "symbolic" in cfg.suites:
         reports += symbolic_suite(max_N=cfg.max_N, max_M=cfg.max_M)
     if "representation" in cfg.suites:
@@ -197,7 +197,7 @@ def run(cfg: RunConfig, out=sys.stdout) -> int:
             gl_rank=cfg.gl_rank,
             trials=cfg.trials,
             seed=cfg.seed,
-            tolerance=cfg.tolerances.get("representation", 1e-8),
+            **tol.get("representation", {}),
         )
 
     for r in reports:

@@ -23,7 +23,7 @@ import numpy as np
 from .params import BParam
 from .qdilog import gb
 from .quadrature import integrate_line
-from .report import CheckReport
+from .report import CheckReport, relative_error
 
 #: Share of the window's width an explicit offset keeps from each end.
 PLACEMENT_MARGIN = 0.05
@@ -87,7 +87,7 @@ def _check(
         params={**params, "offset": eps},
         lhs=lhs,
         rhs=rhs,
-        rel_error=abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300),
+        rel_error=relative_error(lhs, rhs),
         tolerance=tolerance,
         wall_time=time.perf_counter() - start,
     )

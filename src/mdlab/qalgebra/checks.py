@@ -12,6 +12,10 @@ dual-parameter twin of a check (coefficients read as powers of the modular
 dual deformation parameter) is literally a re-execution over the field of
 a different variable.  A preset's defining relations, vanishing
 commutators included, are read off its Cartan matrix.
+
+Field coefficients multiply polynomials from the right.  On the left,
+sympy's FracElement.__mul__ formats the polynomial for the message of a
+failed coercion before Python falls back to NCPoly.__rmul__.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ def verify_kac(N: int, M: int, v: Coeff = V) -> CheckReport:
         middle = NCPoly.one(P)
         for k in range(1, n + 1):
             middle = middle * (
-                (qpow(-N - M + n + k, v) * K - qpow(N + M - n - k, v) * Ki)
+                (K * qpow(-N - M + n + k, v) - Ki * qpow(N + M - n - k, v))
                 * (1 / (qpow(k, v) - qpow(-k, v)))
             )
         rhs = rhs + divided_power(P, "F1", M - n) * middle * divided_power(P, "E1", N - n)
@@ -110,11 +114,11 @@ def verify_mixed_commutators(m: int, v: Coeff = V) -> CheckReport:
     scale = canon(-sp.I, v) * (qpow(1, v) - qpow(-1, v))
     calE, calF = E * scale, F * scale
     bracket = -(qpow(m, v) - qpow(-m, v))
-    cartan = qpow(1 - m, v) * K - qpow(m - 1, v) * Ki
+    cartan = K * qpow(1 - m, v) - Ki * qpow(m - 1, v)
     lhs1 = calE**m * calF - calF * calE**m
-    rhs1 = (bracket * cartan) * calE ** (m - 1)
+    rhs1 = (cartan * bracket) * calE ** (m - 1)
     lhs2 = calE * calF**m - calF**m * calE
-    rhs2 = bracket * (calF ** (m - 1) * cartan)
+    rhs2 = (calF ** (m - 1) * cartan) * bracket
     return _exact_report(
         "mixed_commutators",
         {"m": m, "variable": str(v.as_expr())},
@@ -154,7 +158,7 @@ def verify_serre_sum(N: int, M: int, v: Coeff = V) -> CheckReport:
         lhs = g1**N * g2**M
         rhs = NCPoly.zero(P)
         for n, coeff in enumerate(coeffs):
-            rhs = rhs + coeff * (g2 ** (M - n) * g12**n * g1 ** (N - n))
+            rhs = rhs + (g2 ** (M - n) * g12**n * g1 ** (N - n)) * coeff
         diffs.append((f"{fam}-family", lhs - rhs))
     return _exact_report(
         "serre_sum", {"N": N, "M": M, "variable": str(v.as_expr())}, diffs, start
@@ -185,7 +189,7 @@ def verify_qbinomial(N: int, v: Coeff = V) -> CheckReport:
     lhs = (u + w) ** N
     rhs = NCPoly.zero(W)
     for n in range(N + 1):
-        rhs = rhs + gauss_binomial(N, n, v) * (u ** (N - n) * w**n)
+        rhs = rhs + (u ** (N - n) * w**n) * gauss_binomial(N, n, v)
     return _exact_report(
         "qbinomial", {"N": N, "variable": str(v.as_expr())}, [("binomial", lhs - rhs)], start
     )
@@ -224,11 +228,11 @@ def _defining_relations(preset) -> list:
         for j in preset.nodes:
             a = preset.cartan[i - 1][j - 1]
             Ej, Fj, _, _ = gens(j)
-            rels.append((f"K{i}E{j}", K * Ej - qpow(a, v) * (Ej * K)))
-            rels.append((f"K{i}F{j}", K * Fj - qpow(-a, v) * (Fj * K)))
+            rels.append((f"K{i}E{j}", K * Ej - (Ej * K) * qpow(a, v)))
+            rels.append((f"K{i}F{j}", K * Fj - (Fj * K) * qpow(-a, v)))
             if a == -1:
                 for x, X, Y in (("E", Ei, Ej), ("F", Fi, Fj)):
-                    serre = X**2 * Y - (q + qi) * (X * Y * X) + Y * X**2
+                    serre = X**2 * Y - (X * Y * X) * (q + qi) + Y * X**2
                     rels.append((f"serre {x}{i}^2{x}{j}", serre))
     return rels
 

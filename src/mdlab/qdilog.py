@@ -27,7 +27,9 @@ on E_rho.  Each panel is the widest for which some E_rho keeps this below
 e^{-40}, the tail target.  So panels grow geometrically away from t = 0
 and are never wider than 26.0/|Im z|.  Against a 30-digit mpmath integral
 the kernel agrees to about 2e-14 for |Im z| <= 3 and to 1e-12 up to
-|Im z| = 8; below the real axis cancellation costs digits as |Im z| grows.
+|Im z| = 8.  Below the real axis it loses digits as |Im z| grows: the
+rounding error of the panels next to t = 0 (9e-15 at b = 0.4, z = Q/2)
+is scaled by e^{eps |Im z|}.
 
 A batch is split into bands, the octaves [2^k, 2^(k+1)) of 1 + |Im z|, and
 each band is evaluated on its own grid, sized for the band's decay rates

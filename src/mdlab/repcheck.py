@@ -9,6 +9,11 @@ class on arrays of random generic points; TestFunction and apply_operator
 are the pointwise application that the demo and the benchmark's negative
 control use.
 
+Rank domain: 2 <= N <= 28.  From N = 29 on a Serre product has
+(N - 1)^2 (N - 2) terms, more than compose's MAX_TERMS; sample_point alone
+reaches N = 40, where row N's values ROW_SEPARATION apart still fit in
+[-2, 2].
+
 The relation catalogue is one table from relation id to index-pair rule
 and operator builder; the tilde family is generated from the plain one.
 """
@@ -16,7 +21,6 @@ and operator builder; the tilde family is generated from the plain one.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -34,9 +38,6 @@ Gamma = dict[GZIndex, complex]
 #: denominator bounded away from zero even at shifted arguments, since
 #: |sinh(x + iy)| >= sinh(|x|).
 ROW_SEPARATION = 0.1
-
-# Draws sample_point makes before it gives up on a separated point.
-_MAX_REJECTIONS = 100
 
 MAX_TERMS = 20_000
 
@@ -248,14 +249,22 @@ class TestFunction:
 
 
 def sample_point(N: int, rng: np.random.Generator) -> Gamma:
-    """Random real configuration with within-row separation >= 0.1."""
-    idx = gz_indices(N)
-    for _ in range(_MAX_REJECTIONS):
-        g = dict(zip(idx, map(complex, rng.uniform(-2.0, 2.0, len(idx)).tolist())))
-        if all(abs(g[a].real - g[b].real) >= ROW_SEPARATION
-               for a, b in itertools.combinations(idx, 2) if a[0] == b[0]):
-            return g
-    raise RepresentationError("could not sample a generic point")
+    """Uniform random real point in [-2, 2] whose rows keep a separation
+    >= ROW_SEPARATION, built without rejection: row n takes n uniforms on
+    [-2, 2 - (n - 1) * ROW_SEPARATION] and raises the k-th smallest by
+    k * ROW_SEPARATION in its draw's place, so the draws' order is the
+    row's random order (spacings of order statistics; Devroye, 1986).
+    Raises RepresentationError for N >= 41, where row N cannot fit."""
+    if (N - 1) * ROW_SEPARATION >= 4.0:
+        raise RepresentationError(
+            f"sample_point needs (N - 1) * ROW_SEPARATION < 4, i.e. N <= 40; got N = {N}")
+    u = rng.uniform(0.0, 1.0, N * (N + 1) // 2).tolist()
+    g: Gamma = {}
+    for n in range(1, N + 1):
+        width, row, u = 4.0 - (n - 1) * ROW_SEPARATION, u[:n], u[n:]
+        for k, (x, j) in enumerate(sorted(zip(row, range(1, n + 1)))):
+            g[(n, j)] = complex(width * x - 2.0 + k * ROW_SEPARATION)
+    return g
 
 
 # ---------------------------------------------------------- relation table

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 
 def _jsonable(value: Any) -> Any:
     if isinstance(value, complex):
@@ -14,6 +16,12 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return value
+
+
+def relative_error(lhs, rhs) -> float:
+    """max |lhs - rhs| / max(|lhs|, |rhs|, 1e-300) over paired scalars or arrays."""
+    scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-300)
+    return float(np.max(abs(lhs - rhs) / scale))
 
 
 @dataclass

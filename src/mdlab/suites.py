@@ -9,6 +9,7 @@ checks; nothing in it is tuned to a particular b.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -23,7 +24,7 @@ from .qdilog import (
     residue_limit,
     shift_product,
 )
-from .report import CheckReport
+from .report import CheckReport, relative_error
 from .identities import verify_45, verify_69, verify_tau_binomial
 from .qalgebra import (
     V,
@@ -43,59 +44,52 @@ _SERRE_BOUND = 5
 _QBINOMIAL_BOUND = 6
 _MIXED_BOUND = 4
 
+# The qdilog checks' grid is _GRID_SIDE x _GRID_SIDE points in the strip;
+# the functional equations shift by n1*b + n2/b with n1, n2 <= _MAX_SHIFT,
+# and the residues are checked at the poles -n1*b - n2/b, n1, n2 <= _MAX_N.
+_GRID_SIDE = 10
+_MAX_SHIFT = 3
+_MAX_N = 2
 
-def _strip_grid(p: BParam, n_points: int) -> np.ndarray:
-    """Deterministic grid of ``n_points`` points inside the strip."""
-    nx = max(2, int(round(math.sqrt(n_points))))
-    ny = max(2, n_points // nx)
-    re = np.linspace(0.2 * p.Q, 0.8 * p.Q, nx)
-    im = np.linspace(-1.0, 1.0, ny)
+
+def _strip_grid(p: BParam) -> np.ndarray:
+    """Deterministic grid of _GRID_SIDE**2 points inside the strip."""
+    re = np.linspace(0.2 * p.Q, 0.8 * p.Q, _GRID_SIDE)
+    im = np.linspace(-1.0, 1.0, _GRID_SIDE)
     return (re[:, None] + 1j * im[None, :]).ravel()
 
 
-def _max_rel_err(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    return float(np.max(np.abs(lhs - rhs) / scale))
-
-
-def check_functional_equation(
-    b: float,
-    n_points: int = 100,
-    max_shift: int = 3,
-    tolerance: float = 1e-9,
-) -> CheckReport:
+def check_functional_equation(b: float, tolerance: float = 1e-9) -> CheckReport:
     """G_b(z + n1*b + n2/b) = (finite shift product) * G_b(z) over a grid."""
     start = time.perf_counter()
     p = BParam(b)
-    z = _strip_grid(p, n_points)
+    z = _strip_grid(p)
     base = gb(z, p)
     worst = 0.0
-    for n1 in range(max_shift + 1):
-        for n2 in range(max_shift + 1):
+    for n1 in range(_MAX_SHIFT + 1):
+        for n2 in range(_MAX_SHIFT + 1):
             if n1 == n2 == 0:
                 continue
             shifted = gb(z + n1 * p.b + n2 / p.b, p)
             prods = np.array([shift_product(zi, n1, n2, p) for zi in z])
-            worst = max(worst, _max_rel_err(shifted, prods * base))
+            worst = max(worst, relative_error(shifted, prods * base))
     return CheckReport(
         identity_id="functional_equation",
-        params={"b": b, "n_points": len(z), "max_shift": max_shift},
+        params={"b": b, "n_points": len(z), "max_shift": _MAX_SHIFT},
         rel_error=worst,
         tolerance=tolerance,
         wall_time=time.perf_counter() - start,
     )
 
 
-def check_reflection(
-    b: float, n_points: int = 100, tolerance: float = 1e-9
-) -> CheckReport:
+def check_reflection(b: float, tolerance: float = 1e-9) -> CheckReport:
     """G_b(z) G_b(Q - z) = e^{pi i z (z - Q)} over a grid."""
     start = time.perf_counter()
     p = BParam(b)
-    z = _strip_grid(p, n_points)
+    z = _strip_grid(p)
     lhs = gb(z, p) * gb(p.Q - z, p)
     rhs = np.exp(1j * math.pi * z * (z - p.Q))
-    worst = _max_rel_err(lhs, rhs)
+    worst = relative_error(lhs, rhs)
     return CheckReport(
         identity_id="reflection",
         params={"b": b, "n_points": len(z)},
@@ -127,24 +121,27 @@ def check_special_values(b: float, tolerance: float = 1e-8) -> CheckReport:
     )
 
 
-def check_residues(
-    b: float, max_n: int = 2, tolerance: float = 1e-9
-) -> CheckReport:
-    """Circle-integral pole limits against the closed-form residue products."""
+def check_residues(b: float, tolerance: float = 1e-9) -> CheckReport:
+    """Circle-integral pole limits against the closed-form residue products.
+    A singular closed form (q^2k or qtilde^2k = 1) fails the check, with
+    the singular factor as its detail."""
     start = time.perf_counter()
     p = BParam(b)
-    worst = 0.0
-    for n1 in range(max_n + 1):
-        for n2 in range(max_n + 1):
+    worst, detail = 0.0, ""
+    for n1, n2 in itertools.product(range(_MAX_N + 1), repeat=2):
+        try:
             closed = residue_coeff(n1, n2, p)
-            numeric = residue_limit(n1, n2, p)
-            worst = max(worst, abs(numeric - closed) / abs(closed))
+        except ZeroDivisionError as exc:
+            worst, detail = math.inf, f"at (n1, n2) = ({n1}, {n2}): {exc}"
+            break
+        worst = max(worst, abs(residue_limit(n1, n2, p) - closed) / abs(closed))
     return CheckReport(
         identity_id="residues",
-        params={"b": b, "max_n": max_n},
+        params={"b": b, "max_n": _MAX_N},
         rel_error=worst,
         tolerance=tolerance,
         wall_time=time.perf_counter() - start,
+        detail=detail,
     )
 
 

@@ -43,13 +43,14 @@ def _emit(criterion: str, passed: bool, detail: str) -> None:
 
 def test_criterion_01_functional_equations():
     start = time.perf_counter()
-    reports = [
-        check_functional_equation(b, n_points=100, max_shift=3, tolerance=1e-9)
-        for b in B_VALUES
-    ]
+    reports = [check_functional_equation(b, tolerance=1e-9) for b in B_VALUES]
     wall = time.perf_counter() - start
     worst = max(r.rel_error for r in reports)
-    ok = all(r.passed for r in reports) and wall <= 60.0
+    ok = (
+        all(r.passed for r in reports)
+        and all(r.params["n_points"] == 100 and r.params["max_shift"] == 3 for r in reports)
+        and wall <= 60.0
+    )
     _emit(
         "criterion 1 functional equations",
         ok,
@@ -59,11 +60,11 @@ def test_criterion_01_functional_equations():
 
 
 def test_criterion_02_reflection():
-    reports = [check_reflection(b, n_points=100, tolerance=1e-9) for b in B_VALUES]
+    reports = [check_reflection(b, tolerance=1e-9) for b in B_VALUES]
     worst = max(r.rel_error for r in reports)
     _emit(
         "criterion 2 reflection formula",
-        all(r.passed for r in reports),
+        all(r.passed and r.params["n_points"] == 100 for r in reports),
         f"b in {B_VALUES}, 100 points: max rel err {worst:.2e} (tol 1e-9)",
     )
 
@@ -80,12 +81,12 @@ def test_criterion_03_special_values():
 
 
 def test_criterion_04_residues():
-    reports = [check_residues(b, max_n=2, tolerance=1e-4) for b in B_VALUES]
+    reports = [check_residues(b, tolerance=1e-4) for b in B_VALUES]
     worst = max(r.rel_error for r in reports)
     _emit(
         "criterion 4 residues",
-        all(r.passed for r in reports),
-        f"lattice indices <= 2, extrapolated: max rel err {worst:.2e} (tol 1e-4)",
+        all(r.passed and r.params["max_n"] == 2 for r in reports),
+        f"lattice indices <= 2, circle integral: max rel err {worst:.2e} (tol 1e-4)",
     )
 
 

@@ -159,6 +159,21 @@ def test_qdilog_suite_at_small_b(tmp_path):
     assert main(["--suite", "qdilog", "--b", "0.3", "--report", report]) == EXIT_OK
 
 
+def test_qdilog_suite_at_degenerate_b(tmp_path):
+    # b = 0.2 makes qtilde^2 = 1, so the closed-form residue is singular:
+    # the residues check fails with the singular factor named, the six
+    # other checks pass, and the report is written.
+    report = tmp_path / "rep.json"
+    with pytest.warns(RuntimeWarning, match="nearly degenerate"):
+        code = main(["--suite", "qdilog", "--b", "0.2", "--report", str(report)])
+    assert code == EXIT_CHECK_FAILURE
+    checks = json.loads(report.read_text())["checks"]
+    failed = [c for c in checks if not c["passed"]]
+    assert [c["identity_id"] for c in failed] == ["residues"]
+    assert "qtilde^2 = 1" in failed[0]["detail"]
+    assert len(checks) == 7
+
+
 def test_report_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("MDLAB_REPORT_DIR", str(tmp_path / "sub"))
     cfg = RunConfig(suites=["representation"], gl_rank=2, trials=2)
@@ -174,6 +189,14 @@ def test_gl_rank_beyond_three(tmp_path):
     assert run(cfg, out=io.StringIO()) == EXIT_OK
     payload = json.loads((tmp_path / "rep.json").read_text())
     assert {c["params"]["N"] for c in payload["checks"]} == {2, 3, 4}
+
+
+def test_gl_rank_seven(tmp_path):
+    report = tmp_path / "rep.json"
+    argv = ["--suite", "representation", "--gl-rank", "7", "--trials", "3", "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(report.read_text())
+    assert {c["params"]["N"] for c in payload["checks"]} == set(range(2, 8))
 
 
 def _numeric_part(payload):

@@ -29,6 +29,7 @@ from mdlab.qalgebra import (
     verify_qbinomial,
     verify_serre_sum,
 )
+from mdlab.qalgebra import ncpoly
 from mdlab.qalgebra.checks import _defining_relations, _vanishing_commutators
 from mdlab.qalgebra.ncpoly import _coproduct_letter
 
@@ -227,6 +228,20 @@ def test_serre_sum():
     assert verify_serre_sum(1, 1).passed
     assert verify_serre_sum(2, 1).passed
     assert verify_serre_sum(2, 2).passed
+
+
+def test_checks_never_format_polynomials(monkeypatch):
+    # A field coefficient left of a polynomial goes through sympy's
+    # FracElement.__mul__, whose failed coercion formats the polynomial for
+    # an error message before Python falls back to __rmul__; a passing check
+    # formats nothing.
+    def refuse(self):
+        raise AssertionError("formatted a polynomial")
+
+    monkeypatch.setattr(ncpoly._Combination, "__repr__", refuse)
+    for report in (verify_kac(2, 2), verify_mixed_commutators(2), verify_serre_sum(2, 1),
+                   verify_commuting_cases(), verify_qbinomial(3), verify_coproduct_hom()):
+        assert report.passed, report.identity_id
 
 
 def test_commuting_cases():
