@@ -2,10 +2,13 @@
 
 Every check builds both sides as noncommutative polynomials, normal-orders
 the difference and reports pass iff the normal form has no terms.  All
-equalities are exact in the coefficient field Q(i)(v), whose elements are
-reduced by construction; the reported rel_error is 0.0 or 1.0 and the
-tolerance is 0.0.  A failing check's detail lists the surviving terms with
-each coefficient printed as a sympy expression.
+equalities are exact in a field of rational functions whose elements are
+reduced by construction: ZZ(v), unless the check needs i.  sl3's rules
+hold i, and the mixed commutators and Serre sums rescale by
+-i(q - q^{-1}), so those run in ZZ_I(v), into which ``canon`` embeds every
+ZZ(v) coefficient they meet (see ``coeffs``).  The reported rel_error is
+0.0 or 1.0 and the tolerance is 0.0.  A failing check's detail lists the
+surviving terms with each coefficient printed as a sympy expression.
 
 Each verifier takes the field generator as a parameter, so the
 dual-parameter twin of a check (coefficients read as powers of the modular
@@ -25,7 +28,7 @@ import time
 import sympy as sp
 
 from ..report import CheckReport
-from .coeffs import V, Coeff, canon, gauss_binomial, one_minus_qneg_product, qpow
+from .coeffs import V, Coeff, adjoin_i, canon, gauss_binomial, one_minus_qneg_product, qpow
 from .ncpoly import (
     NCPoly,
     NCTensor,
@@ -110,8 +113,8 @@ def verify_mixed_commutators(m: int, v: Coeff = V) -> CheckReport:
     start = time.perf_counter()
     if m < 1:
         raise ValueError("m must be >= 1")
-    P, E, F, K, Ki = _sl2_gens(v)
-    scale = canon(-sp.I, v) * (qpow(1, v) - qpow(-1, v))
+    P, E, F, K, Ki = _sl2_gens(adjoin_i(v))
+    scale = canon(-sp.I, P.v) * (qpow(1, P.v) - qpow(-1, P.v))
     calE, calF = E * scale, F * scale
     bracket = -(qpow(m, v) - qpow(-m, v))
     cartan = K * qpow(1 - m, v) - Ki * qpow(m - 1, v)
@@ -143,7 +146,7 @@ def verify_serre_sum(N: int, M: int, v: Coeff = V) -> CheckReport:
     if N < 0 or M < 0:
         raise ValueError("N and M must be non-negative")
     P = sl3_preset(v)
-    scale = canon(-sp.I, v) * (qpow(1, v) - qpow(-1, v))
+    scale = canon(-sp.I, P.v) * (qpow(1, P.v) - qpow(-1, P.v))
     fact = [one_minus_qneg_product(k, v) for k in range(max(N, M) + 1)]
     coeffs = [
         (-1) ** n * v ** (-n * n + 2 * n) * qpow(N * M, v)

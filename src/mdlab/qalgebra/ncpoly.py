@@ -3,10 +3,11 @@ normal ordering.
 
 Words are tuples of generator names.  A polynomial (``NCPoly``) maps words,
 and a tensor (``NCTensor``) maps tuples of ``arity`` words, to non-zero
-coefficients in the field Q(i)(v) of its preset's variable (see
-``coeffs``).  Both share one linear-combination arithmetic, and a sum or
-product of operands from different presets or of different arities raises
-``ValueError``.  Each preset fixes an alphabet, a total normal order on it
+coefficients in the field of its preset's variable: ZZ(v), or ZZ_I(v)
+for sl3, whose rules need i (see ``coeffs``).  Both share one
+linear-combination arithmetic, and a sum or product of operands from
+different presets or of different arities raises ``ValueError``.  Each
+preset fixes an alphabet, a total normal order on it
 (F-block, then K-block, then E-block) and a confluent set of adjacent-pair
 rewrite rules; normal ordering rewrites the leftmost reducible pair until
 none remains.  A quantum-group preset also holds its Cartan matrix, which
@@ -24,7 +25,7 @@ from typing import Mapping
 
 import sympy as sp
 
-from .coeffs import V, Coeff, canon, is_zero, qpow
+from .coeffs import V, Coeff, adjoin_i, canon, is_zero, qpow
 
 Word = tuple[str, ...]
 RuleBranch = tuple[Coeff, Word]
@@ -273,7 +274,9 @@ def sl3_preset(v: Coeff = V) -> AlgebraPreset:
     and mirrored for F.  E12 and F12 carry the weight of root 1 + root 2, so
     K_i E12 = q^{a_i1 + a_i2} E12 K_i.  Adjacencies mixing E12/F12 with
     opposite-type simple generators have no straightening rule and raise.
+    The rules need i, so the preset's variable is ``adjoin_i(v)``.
     """
+    v = adjoin_i(v)
     q, qi = qpow(1, v), qpow(-1, v)
     minus_i_v = canon(-sp.I, v) * v
     cartan = ((2, -1), (-1, 2))

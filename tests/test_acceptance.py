@@ -81,12 +81,12 @@ def test_criterion_03_special_values():
 
 
 def test_criterion_04_residues():
-    reports = [check_residues(b, tolerance=1e-4) for b in B_VALUES]
+    reports = [check_residues(b, tolerance=1e-9) for b in B_VALUES]
     worst = max(r.rel_error for r in reports)
     _emit(
         "criterion 4 residues",
         all(r.passed and r.params["max_n"] == 2 for r in reports),
-        f"lattice indices <= 2, circle integral: max rel err {worst:.2e} (tol 1e-4)",
+        f"lattice indices <= 2, circle integral: max rel err {worst:.2e} (tol 1e-9)",
     )
 
 

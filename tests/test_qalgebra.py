@@ -3,7 +3,7 @@ import operator
 import numpy as np
 import pytest
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ, ZZ_I
 from sympy.polys.fields import field
 
 from mdlab.qalgebra import (
@@ -29,7 +29,7 @@ from mdlab.qalgebra import (
     verify_qbinomial,
     verify_serre_sum,
 )
-from mdlab.qalgebra import ncpoly
+from mdlab.qalgebra import checks, ncpoly
 from mdlab.qalgebra.checks import _defining_relations, _vanishing_commutators
 from mdlab.qalgebra.ncpoly import _coproduct_letter
 
@@ -37,6 +37,9 @@ SL2 = sl2_preset()
 SL3 = sl3_preset()
 Q, QI = qpow(1), qpow(-1)
 ONE = qpow(0)
+# sl3's rules need i: its coefficients lie in ZZ_I(v), not in ZZ(v).
+VI = SL3.v
+ONE_I = qpow(0, VI)
 
 
 def gen(preset, name):
@@ -74,8 +77,8 @@ def test_q_serre_zero():
 def test_nonsimple_root_definition():
     # the defining combination of simple generators normal-orders to the
     # single dedicated letter, for both families
-    assert nonsimple_root_poly(SL3, "E").normal_order().terms == {("E12",): ONE}
-    assert nonsimple_root_poly(SL3, "F").normal_order().terms == {("F12",): ONE}
+    assert nonsimple_root_poly(SL3, "E").normal_order().terms == {("E12",): ONE_I}
+    assert nonsimple_root_poly(SL3, "F").normal_order().terms == {("F12",): ONE_I}
 
 
 def test_forbidden_adjacency_raises():
@@ -109,8 +112,8 @@ def test_coefficients_canonical_by_construction():
 def test_gaussian_integer_denominator_is_canonical():
     # (3i v^3 + (2+4i) v)/(4+8i) = ((6+3i) v^3 + 10 v)/20, reached by two
     # different routes, must have one stored numerator and denominator
-    x = (canon(3 * sp.I) * V**3 + canon(2 + 4 * sp.I) * V) / canon(4 + 8 * sp.I)
-    y = (canon(6 + 3 * sp.I) * V**3 + 10 * V) * canon(sp.Rational(1, 20))
+    x = (canon(3 * sp.I, VI) * VI**3 + canon(2 + 4 * sp.I, VI) * VI) / canon(4 + 8 * sp.I, VI)
+    y = (canon(6 + 3 * sp.I, VI) * VI**3 + 10 * VI) * canon(sp.Rational(1, 20), VI)
     assert x == y
     assert x.numer == y.numer and x.denom == y.denom
 
@@ -126,10 +129,68 @@ def test_variables_do_not_mix():
 
 
 def test_field_mismatch_names_domains():
-    with pytest.raises(ValueError, match=r"field QQ\(v\), not in QQ_I\(v\)"):
+    with pytest.raises(ValueError, match=r"field QQ\(v\), not in ZZ\(v\)"):
         canon(field("v", QQ)[1], V)
-    with pytest.raises(ValueError, match=r"field QQ_I\(w\), not in QQ_I\(v\)"):
+    with pytest.raises(ValueError, match=r"field ZZ\(w\), not in ZZ\(v\)"):
         canon(V_TILDE, V)
+    with pytest.raises(ValueError, match=r"field ZZ_I\(v\), not in ZZ\(v\)"):
+        canon(VI, V)
+    with pytest.raises(ValueError, match=r"field ZZ\(w\), not in ZZ_I\(v\)"):
+        canon(V_TILDE, VI)
+    with pytest.raises(ValueError, match=r"field QQ\(v\), not in ZZ_I\(v\)"):
+        canon(field("v", QQ)[1], VI)
+    with pytest.raises(ValueError, match=r"coefficient I does not lie in ZZ\(v\)"):
+        canon(sp.I, V)
+
+
+def test_integer_field_embeds_into_gaussian_field():
+    # ZZ(v) -> ZZ_I(v) for the same symbol is the one coercion between
+    # fields; the moved fraction is the reduced one built in ZZ_I(v)
+    x = canon((3 * V**3 - 2) / (6 * V**2 + 4 * V), VI)
+    y = (3 * VI**3 - 2) / (6 * VI**2 + 4 * VI)
+    assert x.field == VI.field
+    assert x == y and x.numer == y.numer and x.denom == y.denom
+    assert canon(-gauss_binomial(4, 2), VI) == -gauss_binomial(4, 2, VI)
+    assert (gen(SL3, "E1") * Q).terms == {("E1",): qpow(1, VI)}
+
+
+@pytest.mark.parametrize("v", [V, VI], ids=["ZZ", "ZZ_I"])
+@pytest.mark.parametrize(
+    "x, shown",
+    [(0.1, "0.1:"), (2.5, "2.5:"), (1 + 2j, r"\(1\+2j\):"), (np.float64(0.5), "0.5:"),
+     (sp.Float(0.1), r"0\.10*:"), (sp.I + sp.Float(0.5), r"0\.50* \+ I:")],
+    ids=["float", "float_2.5", "complex", "numpy_float", "sympy_Float", "sympy_expr_with_Float"],
+)
+def test_canon_rejects_inexact_numbers(v, x, shown):
+    with pytest.raises(ValueError, match=rf"inexact coefficient {shown}"):
+        canon(x, v)
+    with pytest.raises(ValueError, match="inexact"):
+        gen(sl2_preset(v), "E1") * x
+
+
+def _rule_domains(preset) -> set:
+    return {c.field.domain for branches in preset.rules.values() for c, _ in branches}
+
+
+@pytest.mark.parametrize("v", [V, V_TILDE], ids=["v", "w"])
+def test_coefficient_ring_rule(v, monkeypatch):
+    # ZZ(v) unless a check needs i: of the presets, only sl3's rules hold i
+    for build in (sl2_preset, commuting_pair_preset, qweyl_pair_preset):
+        preset = build(v)
+        assert preset.v.field.domain == ZZ and _rule_domains(preset) == {ZZ}
+    sl3 = sl3_preset(v)
+    assert sl3.v.field.symbols == v.field.symbols and _rule_domains(sl3) == {ZZ_I}
+    # the Kac and q-binomial checks never leave ZZ(v)
+    seen = []
+    report = checks._exact_report
+
+    def spy(identity_id, params, diffs, start):
+        seen.extend(d for _, d in diffs)
+        return report(identity_id, params, diffs, start)
+
+    monkeypatch.setattr(checks, "_exact_report", spy)
+    assert verify_kac(2, 2, v).passed and verify_qbinomial(3, v).passed
+    assert {c.field.domain for d in seen for c in d.terms.values()} == {ZZ}
 
 
 def test_repr_reads_as_expressions():
@@ -327,7 +388,7 @@ def test_coproduct_letter_rules():
     }
     for g, keys in rules.items():
         d = _coproduct_letter(SL3, g)
-        assert (d.arity, d.terms) == (2, dict.fromkeys(keys, ONE)), g
+        assert (d.arity, d.terms) == (2, dict.fromkeys(keys, ONE_I)), g
 
 
 def test_coproduct_undefined_letters_raise():
