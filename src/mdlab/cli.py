@@ -22,6 +22,7 @@ import sympy as sp
 from . import __version__
 from .params import check_b
 from .report import CheckReport, summarize
+from .repcheck import RepresentationError, require_rank
 from .suites import (
     integrals_suite,
     qdilog_suite,
@@ -116,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-N", type=int, dest="max_N", help="symbolic bound N")
     parser.add_argument("--max-M", type=int, dest="max_M", help="symbolic bound M")
     parser.add_argument("--gl-rank", type=int, dest="gl_rank",
-                        help="largest N of gl(N), at least 2 (default 3)")
+                        help="largest N of gl(N), 2 to 28 (default 3)")
     parser.add_argument("--report", metavar="PATH", help="report file path")
     return parser
 
@@ -159,8 +160,10 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError(f"{name} must be positive and finite")
     if cfg.trials < 1:
         raise UsageError("trials must be >= 1")
-    if cfg.gl_rank < 2:
-        raise UsageError("gl_rank must be >= 2")
+    try:
+        require_rank(cfg.gl_rank)
+    except RepresentationError as exc:
+        raise UsageError(f"gl_rank: {exc}") from None
     if not (0 <= cfg.max_N and 0 <= cfg.max_M):
         raise UsageError("max_N and max_M must be non-negative")
     if cfg.seed < 0 or cfg.seed >= 2**64:

@@ -2,12 +2,12 @@
 
 Every check builds both sides as noncommutative polynomials, normal-orders
 the difference and reports pass iff the normal form has no terms.  All
-equalities are exact in a field of rational functions whose elements are
-reduced by construction: ZZ(v), unless the check needs i.  sl3's rules
-hold i, and the mixed commutators and Serre sums rescale by
--i(q - q^{-1}), so those run in ZZ_I(v), into which ``canon`` embeds every
-ZZ(v) coefficient they meet (see ``coeffs``).  The reported rel_error is
-0.0 or 1.0 and the tolerance is 0.0.  A failing check's detail lists the
+equalities are exact in ZZ(v), a field of rational functions whose
+elements are reduced by construction (see ``coeffs``).  The paper's
+rescaled generators -i(q - q^{-1}) X carry a unit -i; each side of every
+identity is homogeneous in them, so the checks divide that unit out and
+run on (q - q^{-1}) X.  The reported rel_error is 0.0 or 1.0 and the
+tolerance is 0.0.  A failing check's detail lists the
 surviving terms with each coefficient printed as a sympy expression.
 
 Each verifier takes the field generator as a parameter, so the
@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import time
 
-import sympy as sp
-
 from ..report import CheckReport
-from .coeffs import V, Coeff, adjoin_i, canon, gauss_binomial, one_minus_qneg_product, qpow
+from .coeffs import V, Coeff, gauss_binomial, one_minus_qneg_product, qpow
 from .ncpoly import (
     NCPoly,
     NCTensor,
@@ -109,19 +107,23 @@ def verify_mixed_commutators(m: int, v: Coeff = V) -> CheckReport:
 
         [calE^m, calF] = -(q^m - q^-m)(q^{1-m} K - q^{m-1} K^-1) calE^{m-1}
         [calE, calF^m] = -(q^m - q^-m) calF^{m-1} (q^{1-m} K - q^{m-1} K^-1)
+
+    Checked on e = (q - q^-1) E and f likewise: the commutators carry
+    (-i)^{m+1} and the right-hand sides (-i)^{m-1}, so dividing out the
+    latter leaves (-i)^2 = -1 on the commutator side.
     """
     start = time.perf_counter()
     if m < 1:
         raise ValueError("m must be >= 1")
-    P, E, F, K, Ki = _sl2_gens(adjoin_i(v))
-    scale = canon(-sp.I, P.v) * (qpow(1, P.v) - qpow(-1, P.v))
-    calE, calF = E * scale, F * scale
+    P, E, F, K, Ki = _sl2_gens(v)
+    scale = qpow(1, v) - qpow(-1, v)
+    e, f = E * scale, F * scale
     bracket = -(qpow(m, v) - qpow(-m, v))
     cartan = K * qpow(1 - m, v) - Ki * qpow(m - 1, v)
-    lhs1 = calE**m * calF - calF * calE**m
-    rhs1 = (cartan * bracket) * calE ** (m - 1)
-    lhs2 = calE * calF**m - calF**m * calE
-    rhs2 = (calF ** (m - 1) * cartan) * bracket
+    lhs1 = f * e**m - e**m * f
+    rhs1 = (cartan * bracket) * e ** (m - 1)
+    lhs2 = f**m * e - e * f**m
+    rhs2 = (f ** (m - 1) * cartan) * bracket
     return _exact_report(
         "mixed_commutators",
         {"m": m, "variable": str(v.as_expr())},
@@ -138,18 +140,22 @@ def verify_serre_sum(N: int, M: int, v: Coeff = V) -> CheckReport:
             * calE_j^{M-n} calE_{ij}^n calE_i^{N-n}
 
     with (i, j) = (1, 2), where [n]!_{q^-2} = prod_{k<=n}(1 - q^{-2k}),
-    and the mirror identity for the F family.  The rescaled generators
-    calX = -i(q - q^-1) X are used on both sides; the non-simple-root
-    letter scales the same way, so calE_{12} = -i(q - q^-1) E12.
+    calX = -i(q - q^-1) X, calE_{12} built likewise from the paper's
+    E12 = -i(q^{1/2} E2 E1 - q^{-1/2} E1 E2), and the mirror identity for
+    the F family.
+
+    Checked on e = (q - q^-1) X with sl3_preset's root letter, which is -i
+    times the paper's E12: a term then carries (-i)^{N+M-2n} against the
+    left side's (-i)^{N+M}, and (-1)^n (-i)^{-2n} = 1 drops the sign.
     """
     start = time.perf_counter()
     if N < 0 or M < 0:
         raise ValueError("N and M must be non-negative")
     P = sl3_preset(v)
-    scale = canon(-sp.I, P.v) * (qpow(1, P.v) - qpow(-1, P.v))
+    scale = qpow(1, v) - qpow(-1, v)
     fact = [one_minus_qneg_product(k, v) for k in range(max(N, M) + 1)]
     coeffs = [
-        (-1) ** n * v ** (-n * n + 2 * n) * qpow(N * M, v)
+        v ** (-n * n + 2 * n) * qpow(N * M, v)
         * (fact[N] * fact[M] / (fact[N - n] * fact[M - n] * fact[n]))
         for n in range(min(N, M) + 1)
     ]

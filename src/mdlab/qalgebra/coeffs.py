@@ -8,17 +8,10 @@ reduced by a gcd after every field operation, so two equal coefficients are
 equal under ``==`` and a zero coefficient is falsy: there is no separate
 canonicalisation step.
 
-One rule chooses the field: ZZ(v), fractions of polynomials over the
-integers, unless a check needs i; then ZZ_I(v), fractions over the
-Gaussian integers, generated by ``adjoin_i(v)``.  Only sl3's
-non-simple-root rules and the rescaling by -i(q - q^{-1}) need i.  The Kac
-identity, the q-binomial theorem, sl2 and the commuting pair stay in ZZ(v),
-where a gcd is much cheaper: ``mdlab --suite symbolic`` takes about 1.1 s
-where it took 2.1 s with every coefficient in ZZ_I(v) (2-vCPU host, whole
-process).  ``canon`` embeds ZZ(v) into ZZ_I(v) for the same symbol, which
-is exact: a fraction reduced over ZZ is reduced over ZZ_I.  Any other two
-fields raise on contact, so coefficients over v and over the dual variable
-w never mix.
+The field is ZZ(v), fractions of polynomials over the integers, and ZZ(w)
+for the dual re-runs; the two raise on contact, so they never mix.  The
+paper's generators carry a unit -i, but every check divides it out of
+each side (see ``checks``), so no coefficient needs i.
 
 The variable is injectable so the dual-parameter twin of every check is a
 re-execution over a second field, not new code.
@@ -27,11 +20,11 @@ re-execution over a second field, not new code.
 from __future__ import annotations
 
 import sympy as sp
-from sympy.polys.domains import ZZ, ZZ_I
+from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracElement, field
 from sympy.polys.polyerrors import CoercionFailed
 
-#: A coefficient: an element of ZZ(v) or ZZ_I(v) for one formal variable v.
+#: A coefficient: an element of ZZ(v) for one formal variable v.
 Coeff = FracElement
 
 #: Default formal variable, v = q^{1/2}, as the generator of ZZ(v).
@@ -41,35 +34,23 @@ V: Coeff = field("v", ZZ)[1]
 V_TILDE: Coeff = field("w", ZZ)[1]
 
 
-def adjoin_i(v: Coeff) -> Coeff:
-    """The generator of ZZ_I(v) with the symbol of ``v``: the field of a
-    check that needs i.  Built on demand; it costs microseconds."""
-    return field(v.field.symbols, ZZ_I)[1]
-
-
 def _field_name(K) -> str:
-    """A field of rational functions as its domain and symbols: ZZ_I(v)."""
+    """A field of rational functions as its domain and symbols: ZZ(v)."""
     return f"{K.domain}({', '.join(map(str, K.symbols))})"
 
 
 def canon(x: Coeff | sp.Expr | int, v: Coeff = V) -> Coeff:
     """``x`` as an element of the field generated by ``v``.
 
-    Accepts an int, an exact sympy number such as ``sp.Rational(1, 2)`` or
-    ``sp.I`` (over ZZ_I(v) only), or an element of that field.  An element of
-    ZZ(v) is embedded into ZZ_I(v) with the same symbol.  An element of any
-    other field, an inexact number and a number outside the field raise
-    ValueError.
+    Accepts an int, an exact sympy number such as ``sp.Rational(1, 2)``, or
+    an element of that field.  An element of any other field, an inexact
+    number and a number outside the field, such as the imaginary unit,
+    raise ValueError.
     """
     K = v.field
     if isinstance(x, FracElement):
         if x.field == K:
             return x
-        if x.field.domain == ZZ and K.domain == ZZ_I and x.field.symbols == K.symbols:
-            # Coprime over ZZ stays coprime over ZZ_I, and a positive leading
-            # coefficient of the denominator is ZZ_I's canonical unit, so the
-            # moved fraction needs no second reduction.
-            return K.raw_new(x.numer.set_ring(K.ring), x.denom.set_ring(K.ring))
         raise ValueError(
             f"coefficient {x.as_expr()} lies in the field {_field_name(x.field)}, "
             f"not in {_field_name(K)}"

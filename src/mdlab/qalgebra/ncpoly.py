@@ -3,11 +3,10 @@ normal ordering.
 
 Words are tuples of generator names.  A polynomial (``NCPoly``) maps words,
 and a tensor (``NCTensor``) maps tuples of ``arity`` words, to non-zero
-coefficients in the field of its preset's variable: ZZ(v), or ZZ_I(v)
-for sl3, whose rules need i (see ``coeffs``).  Both share one
-linear-combination arithmetic, and a sum or product of operands from
-different presets or of different arities raises ``ValueError``.  Each
-preset fixes an alphabet, a total normal order on it
+coefficients in the field of its preset's variable, ZZ(v) (see ``coeffs``).
+Both share one linear-combination arithmetic, and a sum or product of
+operands from different presets or of different arities raises
+``ValueError``.  Each preset fixes an alphabet, a total normal order on it
 (F-block, then K-block, then E-block) and a confluent set of adjacent-pair
 rewrite rules; normal ordering rewrites the leftmost reducible pair until
 none remains.  A quantum-group preset also holds its Cartan matrix, which
@@ -23,9 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping
 
-import sympy as sp
-
-from .coeffs import V, Coeff, adjoin_i, canon, is_zero, qpow
+from .coeffs import V, Coeff, canon, is_zero, qpow
 
 Word = tuple[str, ...]
 RuleBranch = tuple[Coeff, Word]
@@ -263,31 +260,29 @@ def sl2_preset(v: Coeff = V) -> AlgebraPreset:
 def sl3_preset(v: Coeff = V) -> AlgebraPreset:
     """Rank-2 simply-laced preset with the non-simple root letters E12, F12.
 
-    Straightening rules for the non-simple roots are derived from their
-    definition plus the q-Serre relation (the q-Serre zero test in the
-    suite re-validates them):
+    The root letter is E12 = q^{-1/2} E1*E2 - q^{1/2} E2*E1, which is -i
+    times the paper's E12 = -i(q^{1/2} E2*E1 - q^{-1/2} E1*E2), so its rules
+    lie in ZZ(v).  They follow from this definition plus the q-Serre
+    relation (the q-Serre zero test in the suite re-validates them):
 
-        E1*E2  = q * E2*E1 - i * q^{1/2} * E12
+        E1*E2  = q * E2*E1 + q^{1/2} * E12
         E1*E12 = q^{-1} * E12*E1
         E12*E2 = q^{-1} * E2*E12
 
     and mirrored for F.  E12 and F12 carry the weight of root 1 + root 2, so
     K_i E12 = q^{a_i1 + a_i2} E12 K_i.  Adjacencies mixing E12/F12 with
     opposite-type simple generators have no straightening rule and raise.
-    The rules need i, so the preset's variable is ``adjoin_i(v)``.
     """
-    v = adjoin_i(v)
     q, qi = qpow(1, v), qpow(-1, v)
-    minus_i_v = canon(-sp.I, v) * v
     cartan = ((2, -1), (-1, 2))
     symbols = ("F2", "F12", "F1", "K1", "K1i", "K2", "K2i", "E2", "E12", "E1")
     rules = _cartan_rules(v, cartan)
     for i, row in enumerate(cartan, 1):
         rules.update(_weight_rules(v, i, sum(row), "E12", "F12"))
-    rules[("E1", "E2")] = ((q, ("E2", "E1")), (minus_i_v, ("E12",)))
+    rules[("E1", "E2")] = ((q, ("E2", "E1")), (v, ("E12",)))
     rules[("E1", "E12")] = ((qi, ("E12", "E1")),)
     rules[("E12", "E2")] = ((qi, ("E2", "E12")),)
-    rules[("F1", "F2")] = ((q, ("F2", "F1")), (minus_i_v, ("F12",)))
+    rules[("F1", "F2")] = ((q, ("F2", "F1")), (v, ("F12",)))
     rules[("F1", "F12")] = ((qi, ("F12", "F1")),)
     rules[("F12", "F2")] = ((qi, ("F2", "F12")),)
     forbidden = frozenset(
@@ -313,18 +308,11 @@ def qweyl_pair_preset(v: Coeff = V) -> AlgebraPreset:
 
 def nonsimple_root_poly(preset: AlgebraPreset, kind: str) -> NCPoly:
     """The non-simple root letter expressed through simple generators:
-    E12 = -i (q^{1/2} E2 E1 - q^{-1/2} E1 E2), likewise for F."""
+    E12 = q^{-1/2} E1 E2 - q^{1/2} E2 E1, likewise for F (see sl3_preset)."""
     if kind not in ("E", "F"):
         raise ValueError("kind must be 'E' or 'F'")
     v = preset.v
-    i = canon(sp.I, v)
-    return NCPoly(
-        preset,
-        {
-            (f"{kind}2", f"{kind}1"): -i * v,
-            (f"{kind}1", f"{kind}2"): i / v,
-        },
-    )
+    return NCPoly(preset, {(f"{kind}1", f"{kind}2"): 1 / v, (f"{kind}2", f"{kind}1"): -v})
 
 
 def divided_power(preset: AlgebraPreset, name: str, n: int) -> NCPoly:

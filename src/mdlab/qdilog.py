@@ -437,32 +437,58 @@ def residue_limit(n1: int, n2: int, p: BParam) -> complex:
     return complex(np.mean(w * gb(w - s, p)))
 
 
+def _leading_correction(w: complex, p: BParam) -> complex:
+    """c(w) = e^{2 pi i b w} / (1 - q^2) + e^{2 pi i w / b} / (1 - qtilde^2),
+    the leading correction to G_b(w) -> conj(zeta_b) as Im w -> +inf."""
+    out = 0j
+    for name, base, rate in (("q", p.q, p.b), ("qtilde", p.qtilde, 1.0 / p.b)):
+        den = 1.0 - base**2
+        if abs(den) < 1e-9:
+            raise ZeroDivisionError(
+                f"{name}^2 = 1 within 1e-9; the leading asymptotic correction is singular"
+            )
+        out += cmath.exp(TWO_PI_I * rate * w) / den
+    return out
+
+
 def check_asymptotics(
     x: float, T: float, p: BParam, tolerance: float = 1e-6
 ) -> CheckReport:
-    """Deviation of G_b(x ± iT) from its two asymptotic branches.
+    """Deviation of G_b(x ± iT) from its two asymptotic branches, each taken
+    with its leading correction c (see ``_leading_correction``):
 
-    The upper branch tends to conj(zeta_b); the lower branch carries the
-    Gaussian factor and is compared in log magnitude to avoid overflow.
+        upper:  G_b(z) ~ conj(zeta_b) (1 + c(z))
+        lower:  G_b(z) ~ zeta_b e^{pi i z (z - Q)} (1 - c(Q - z)),
+
+    the lower one by reflection.  c is of order e^{-2 pi min(b, 1/b) T}, so
+    the next correction is of its square.  The lower branch carries the
+    Gaussian factor and is compared in log magnitude to avoid overflow.  A
+    singular correction (q^2 or qtilde^2 = 1) fails the check, with the
+    singular factor as its detail.
     """
     if not 0 < x < p.Q:
         raise ValueError("x must lie inside the strip (0, Q)")
     start = time.perf_counter()
     upper = gb(complex(x, T), p)
-    dev_up = abs(upper - np.conj(p.zeta_b))
-
     z = complex(x, -T)
-    log_pred = cmath.log(p.zeta_b) + 1j * math.pi * z * (z - p.Q)
-    dev_down = abs(cmath.exp(log_gb_strip(z, p) - log_pred) - 1.0)
-
-    dev = max(dev_up, dev_down)
+    try:
+        pred = np.conj(p.zeta_b) * (1.0 + _leading_correction(complex(x, T), p))
+        log_pred = (cmath.log(p.zeta_b) + 1j * math.pi * z * (z - p.Q)
+                    + cmath.log(1.0 - _leading_correction(p.Q - z, p)))
+    except ZeroDivisionError as exc:
+        pred, dev, detail = np.conj(p.zeta_b), math.inf, str(exc)
+    else:
+        dev_up = abs(upper - pred)
+        dev_down = abs(cmath.exp(log_gb_strip(z, p) - log_pred) - 1.0)
+        dev = max(dev_up, dev_down)
+        detail = f"upper-branch dev {dev_up:.3e}, lower-branch dev {dev_down:.3e}"
     return CheckReport(
         identity_id="asymptotic_behavior",
         params={"x": x, "T": T, "b": p.b},
         lhs=upper,
-        rhs=complex(np.conj(p.zeta_b)),
+        rhs=complex(pred),
         rel_error=dev,
         tolerance=tolerance,
         wall_time=time.perf_counter() - start,
-        detail=f"upper-branch dev {dev_up:.3e}, lower-branch dev {dev_down:.3e}",
+        detail=detail,
     )

@@ -9,10 +9,10 @@ class on arrays of random generic points; TestFunction and apply_operator
 are the pointwise application that the demo and the benchmark's negative
 control use.
 
-Rank domain: 2 <= N <= 28.  From N = 29 on a Serre product has
-(N - 1)^2 (N - 2) terms, more than compose's MAX_TERMS; sample_point alone
-reaches N = 40, where row N's values ROW_SEPARATION apart still fit in
-[-2, 2].
+Rank domain: 2 <= N <= MAX_RANK = 28, and require_rank rejects any other
+N before work starts.  A Serre product has (N - 1)^2 (N - 2) terms, more
+than compose's MAX_TERMS from N = 29 on; sample_point alone reaches
+N = 40, where row N's values ROW_SEPARATION apart still fit in [-2, 2].
 
 The relation catalogue is one table from relation id to index-pair rule
 and operator builder; the tilde family is generated from the plain one.
@@ -41,15 +41,20 @@ ROW_SEPARATION = 0.1
 
 MAX_TERMS = 20_000
 
+#: The largest N whose Serre products, of (N - 1)^2 (N - 2) terms, fit in
+#: MAX_TERMS.
+MAX_RANK = max(N for N in range(2, 100) if (N - 1) ** 2 * (N - 2) <= MAX_TERMS)
+
 
 class RepresentationError(ValueError):
     pass
 
 
 def require_rank(N: int) -> None:
-    """Reject N < 2, where no relation of the catalogue has index pairs."""
-    if N < 2:
-        raise RepresentationError(f"need N >= 2, got N = {N}")
+    """Reject N < 2, where no relation of the catalogue has index pairs, and
+    N > MAX_RANK, where a Serre product would exceed MAX_TERMS."""
+    if not 2 <= N <= MAX_RANK:
+        raise RepresentationError(f"need 2 <= N <= {MAX_RANK}, got N = {N}")
 
 
 def gz_indices(N: int) -> list[GZIndex]:

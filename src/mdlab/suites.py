@@ -150,9 +150,11 @@ def qdilog_suite(b: float = 0.83, tolerance: float = 1e-9) -> list[CheckReport]:
     asymptotics at one b.  ``tolerance`` applies to the functional-equation
     and reflection checks.
 
-    The asymptotic checks sit at the heights T = k/(2 pi min(b, 1/b)), k in
-    (40, 50, 70), where the upper branch's leading correction
-    e^{-2 pi min(b, 1/b) T} is e^-k; e^-40 is the G_b kernel's tail target.
+    The asymptotic checks sit at the heights T = k/(2 pi min(b, 1/b)),
+    where the leading correction e^{-2 pi min(b, 1/b) T} is e^-k.  At
+    k = 16 it is about 1e-7, so the check at 1e-9 fails unless the
+    correction is right; k in (40, 50, 70) keep 1e-6, and e^-40 is the G_b
+    kernel's tail target.
     """
     p = BParam(b)
     reports = [
@@ -161,9 +163,9 @@ def qdilog_suite(b: float = 0.83, tolerance: float = 1e-9) -> list[CheckReport]:
         check_special_values(b),
         check_residues(b),
     ]
-    for k in (40.0, 50.0, 70.0):
+    for k, tol in ((16.0, 1e-9), (40.0, 1e-6), (50.0, 1e-6), (70.0, 1e-6)):
         T = k / (2.0 * math.pi * min(p.b, 1.0 / p.b))
-        reports.append(check_asymptotics(p.Q / 2.0, T, p))
+        reports.append(check_asymptotics(p.Q / 2.0, T, p, tolerance=tol))
     return reports
 
 

@@ -120,6 +120,7 @@ def test_usage_exit_codes(capsys):
     assert main(["--b", "-1"]) == EXIT_USAGE
     assert main(["--workers", "2"]) == EXIT_USAGE
     assert main(["--gl-rank", "1"]) == EXIT_USAGE
+    assert main(["--gl-rank", "29"]) == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:
         parse_config(["--no-such-flag"])
     assert exc.value.code == 2
@@ -160,18 +161,18 @@ def test_qdilog_suite_at_small_b(tmp_path):
 
 
 def test_qdilog_suite_at_degenerate_b(tmp_path):
-    # b = 0.2 makes qtilde^2 = 1, so the closed-form residue is singular:
-    # the residues check fails with the singular factor named, the six
-    # other checks pass, and the report is written.
+    # b = 0.2 makes qtilde^2 = 1, so the closed-form residue and the
+    # leading asymptotic correction are singular: those checks fail with the
+    # singular factor named, the three others pass, and the report is written.
     report = tmp_path / "rep.json"
     with pytest.warns(RuntimeWarning, match="nearly degenerate"):
         code = main(["--suite", "qdilog", "--b", "0.2", "--report", str(report)])
     assert code == EXIT_CHECK_FAILURE
     checks = json.loads(report.read_text())["checks"]
     failed = [c for c in checks if not c["passed"]]
-    assert [c["identity_id"] for c in failed] == ["residues"]
-    assert "qtilde^2 = 1" in failed[0]["detail"]
-    assert len(checks) == 7
+    assert [c["identity_id"] for c in failed] == ["residues"] + ["asymptotic_behavior"] * 4
+    assert all("qtilde^2 = 1" in c["detail"] for c in failed)
+    assert len(checks) == 8
 
 
 def test_report_dir_env(tmp_path, monkeypatch):

@@ -30,16 +30,17 @@ from mdlab.qalgebra import (
     verify_serre_sum,
 )
 from mdlab.qalgebra import checks, ncpoly
-from mdlab.qalgebra.checks import _defining_relations, _vanishing_commutators
+from mdlab.qalgebra.checks import _defining_relations, _sl2_gens, _vanishing_commutators
+from mdlab.qalgebra.coeffs import one_minus_qneg_product
 from mdlab.qalgebra.ncpoly import _coproduct_letter
 
 SL2 = sl2_preset()
 SL3 = sl3_preset()
 Q, QI = qpow(1), qpow(-1)
 ONE = qpow(0)
-# sl3's rules need i: its coefficients lie in ZZ_I(v), not in ZZ(v).
-VI = SL3.v
-ONE_I = qpow(0, VI)
+# The engine's one field is ZZ(v).  ZZ_I(v) is local to these tests: it
+# carries the paper's literal form, -i included, as a reference.
+VI = field("v", ZZ_I)[1]
 
 
 def gen(preset, name):
@@ -77,8 +78,8 @@ def test_q_serre_zero():
 def test_nonsimple_root_definition():
     # the defining combination of simple generators normal-orders to the
     # single dedicated letter, for both families
-    assert nonsimple_root_poly(SL3, "E").normal_order().terms == {("E12",): ONE_I}
-    assert nonsimple_root_poly(SL3, "F").normal_order().terms == {("F12",): ONE_I}
+    assert nonsimple_root_poly(SL3, "E").normal_order().terms == {("E12",): ONE}
+    assert nonsimple_root_poly(SL3, "F").normal_order().terms == {("F12",): ONE}
 
 
 def test_forbidden_adjacency_raises():
@@ -110,6 +111,7 @@ def test_coefficients_canonical_by_construction():
 
 
 def test_gaussian_integer_denominator_is_canonical():
+    # The paper-form reference below runs in ZZ_I(v).
     # (3i v^3 + (2+4i) v)/(4+8i) = ((6+3i) v^3 + 10 v)/20, reached by two
     # different routes, must have one stored numerator and denominator
     x = (canon(3 * sp.I, VI) * VI**3 + canon(2 + 4 * sp.I, VI) * VI) / canon(4 + 8 * sp.I, VI)
@@ -133,25 +135,13 @@ def test_field_mismatch_names_domains():
         canon(field("v", QQ)[1], V)
     with pytest.raises(ValueError, match=r"field ZZ\(w\), not in ZZ\(v\)"):
         canon(V_TILDE, V)
-    with pytest.raises(ValueError, match=r"field ZZ_I\(v\), not in ZZ\(v\)"):
-        canon(VI, V)
-    with pytest.raises(ValueError, match=r"field ZZ\(w\), not in ZZ_I\(v\)"):
-        canon(V_TILDE, VI)
-    with pytest.raises(ValueError, match=r"field QQ\(v\), not in ZZ_I\(v\)"):
-        canon(field("v", QQ)[1], VI)
     with pytest.raises(ValueError, match=r"coefficient I does not lie in ZZ\(v\)"):
         canon(sp.I, V)
-
-
-def test_integer_field_embeds_into_gaussian_field():
-    # ZZ(v) -> ZZ_I(v) for the same symbol is the one coercion between
-    # fields; the moved fraction is the reduced one built in ZZ_I(v)
-    x = canon((3 * V**3 - 2) / (6 * V**2 + 4 * V), VI)
-    y = (3 * VI**3 - 2) / (6 * VI**2 + 4 * VI)
-    assert x.field == VI.field
-    assert x == y and x.numer == y.numer and x.denom == y.denom
-    assert canon(-gauss_binomial(4, 2), VI) == -gauss_binomial(4, 2, VI)
-    assert (gen(SL3, "E1") * Q).terms == {("E1",): qpow(1, VI)}
+    # no field embeds into another, ZZ(v) into ZZ_I(v) included
+    with pytest.raises(ValueError, match=r"field ZZ_I\(v\), not in ZZ\(v\)"):
+        canon(VI, V)
+    with pytest.raises(ValueError, match=r"field ZZ\(v\), not in ZZ_I\(v\)"):
+        canon(V, VI)
 
 
 @pytest.mark.parametrize("v", [V, VI], ids=["ZZ", "ZZ_I"])
@@ -168,19 +158,18 @@ def test_canon_rejects_inexact_numbers(v, x, shown):
         gen(sl2_preset(v), "E1") * x
 
 
-def _rule_domains(preset) -> set:
-    return {c.field.domain for branches in preset.rules.values() for c, _ in branches}
+def _rule_fields(preset) -> set:
+    return {c.field for branches in preset.rules.values() for c, _ in branches}
 
 
 @pytest.mark.parametrize("v", [V, V_TILDE], ids=["v", "w"])
 def test_coefficient_ring_rule(v, monkeypatch):
-    # ZZ(v) unless a check needs i: of the presets, only sl3's rules hold i
-    for build in (sl2_preset, commuting_pair_preset, qweyl_pair_preset):
+    # one field: every preset's rules, sl3's included, and every coefficient
+    # the six verifiers build lie in ZZ(v), or in ZZ(w) for the dual re-runs
+    assert v.field.domain == ZZ
+    for build in (sl2_preset, sl3_preset, commuting_pair_preset, qweyl_pair_preset):
         preset = build(v)
-        assert preset.v.field.domain == ZZ and _rule_domains(preset) == {ZZ}
-    sl3 = sl3_preset(v)
-    assert sl3.v.field.symbols == v.field.symbols and _rule_domains(sl3) == {ZZ_I}
-    # the Kac and q-binomial checks never leave ZZ(v)
+        assert preset.v == v and _rule_fields(preset) == {v.field}
     seen = []
     report = checks._exact_report
 
@@ -189,8 +178,10 @@ def test_coefficient_ring_rule(v, monkeypatch):
         return report(identity_id, params, diffs, start)
 
     monkeypatch.setattr(checks, "_exact_report", spy)
-    assert verify_kac(2, 2, v).passed and verify_qbinomial(3, v).passed
-    assert {c.field.domain for d in seen for c in d.terms.values()} == {ZZ}
+    reports = [verify_kac(2, 2, v), verify_qbinomial(3, v), verify_mixed_commutators(2, v),
+               verify_serre_sum(2, 1, v), verify_commuting_cases(v), verify_coproduct_hom(v)]
+    assert all(r.passed for r in reports)
+    assert {c.field for d in seen for c in d.terms.values()} == {v.field}
 
 
 def test_repr_reads_as_expressions():
@@ -291,6 +282,58 @@ def test_serre_sum():
     assert verify_serre_sum(2, 2).passed
 
 
+# The paper's literal form over ZZ_I(v): calX = -i(q - q^-1) X, the root
+# vector E12 = -i(q^{1/2} E2 E1 - q^{-1/2} E1 E2) in the simple generators,
+# and the sign (-1)^n that the checks divide out with the unit -i.
+def _paper_serre_sum(N, M, sign=-1):
+    P = sl3_preset(VI)
+    scale = canon(-sp.I, VI) * (qpow(1, VI) - qpow(-1, VI))
+    fact = [one_minus_qneg_product(k, VI) for k in range(max(N, M) + 1)]
+    diffs = []
+    for fam in ("E", "F"):
+        g1, g2 = gen(P, f"{fam}1") * scale, gen(P, f"{fam}2") * scale
+        root = NCPoly(P, {(f"{fam}2", f"{fam}1"): canon(-sp.I, VI) * VI,
+                          (f"{fam}1", f"{fam}2"): canon(sp.I, VI) / VI}) * scale
+        rhs = NCPoly.zero(P)
+        for n in range(min(N, M) + 1):
+            coeff = (sign**n * VI ** (-n * n + 2 * n) * qpow(N * M, VI)
+                     * fact[N] * fact[M] / (fact[N - n] * fact[M - n] * fact[n]))
+            rhs = rhs + (g2 ** (M - n) * root**n * g1 ** (N - n)) * coeff
+        diffs.append((g1**N * g2**M - rhs).normal_order())
+    return diffs
+
+
+def _paper_mixed_commutators(m, sign=1):
+    P, E, F, K, Ki = _sl2_gens(VI)
+    scale = canon(-sp.I, VI) * (qpow(1, VI) - qpow(-1, VI))
+    calE, calF = E * scale, F * scale
+    bracket = -(qpow(m, VI) - qpow(-m, VI))
+    cartan = K * qpow(1 - m, VI) - Ki * qpow(m - 1, VI)
+    lhs1 = (calE**m * calF - calF * calE**m) * sign
+    lhs2 = (calE * calF**m - calF**m * calE) * sign
+    return [
+        (lhs1 - (cartan * bracket) * calE ** (m - 1)).normal_order(),
+        (lhs2 - (calF ** (m - 1) * cartan) * bracket).normal_order(),
+    ]
+
+
+def test_paper_form_over_gaussian_field():
+    for N in range(4):
+        for M in range(4 - N):
+            assert all(d.is_zero() for d in _paper_serre_sum(N, M)), (N, M)
+    for m in (1, 2, 3):
+        assert all(d.is_zero() for d in _paper_mixed_commutators(m)), m
+
+
+def test_paper_form_controls_fail():
+    # without (-1)^n, or with one side of the commutator negated, the
+    # paper's form must not hold
+    for N, M in ((1, 1), (2, 1), (1, 2)):
+        assert not any(d.is_zero() for d in _paper_serre_sum(N, M, sign=1)), (N, M)
+    for m in (1, 2, 3):
+        assert not any(d.is_zero() for d in _paper_mixed_commutators(m, sign=-1)), m
+
+
 def test_checks_never_format_polynomials(monkeypatch):
     # A field coefficient left of a polynomial goes through sympy's
     # FracElement.__mul__, whose failed coercion formats the polynomial for
@@ -388,7 +431,7 @@ def test_coproduct_letter_rules():
     }
     for g, keys in rules.items():
         d = _coproduct_letter(SL3, g)
-        assert (d.arity, d.terms) == (2, dict.fromkeys(keys, ONE_I)), g
+        assert (d.arity, d.terms) == (2, dict.fromkeys(keys, ONE)), g
 
 
 def test_coproduct_undefined_letters_raise():

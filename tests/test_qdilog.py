@@ -1,11 +1,13 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from mdlab.params import BParam
+from mdlab import qdilog
 from mdlab.qdilog import (
     STRIP_MARGIN,
     PoleError,
@@ -281,6 +283,39 @@ def test_asymptotics():
     for T in (8.0, 12.0):
         rep = check_asymptotics(P.Q / 2, T, P)
         assert rep.passed and rep.rel_error < 1e-9
+
+
+ASYMPTOTIC_B = [0.1001, 0.3, 0.83, 0.97, 2.5, 9.7]
+
+
+def _branch_devs(report) -> tuple[float, float]:
+    m = re.fullmatch(r"upper-branch dev (\S+), lower-branch dev (\S+)", report.detail)
+    return float(m[1]), float(m[2])
+
+
+@pytest.mark.parametrize("b", ASYMPTOTIC_B)
+def test_asymptotics_with_leading_correction(b, monkeypatch):
+    # At T = 16/(2 pi min(b, 1/b)) the correction is about 1e-7: the
+    # corrected branches meet 1e-9, and the bare limits miss it on both
+    # branches by more than 50x.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # b = 2.5: q^8 = 1
+        p = BParam(b)
+    T = 16.0 / (2.0 * math.pi * min(p.b, 1.0 / p.b))
+    for x in (p.Q / 2, 0.3 * p.Q):
+        assert check_asymptotics(x, T, p, tolerance=1e-9).passed
+    monkeypatch.setattr(qdilog, "_leading_correction", lambda w, p: 0j)
+    for x in (p.Q / 2, 0.3 * p.Q):
+        bare = check_asymptotics(x, T, p, tolerance=1e-9)
+        assert not bare.passed and min(_branch_devs(bare)) > 50e-9
+
+
+def test_asymptotics_singular_correction_fails():
+    with pytest.warns(RuntimeWarning, match="nearly degenerate"):
+        p = BParam(1.0)  # q^2 = qtilde^2 = 1
+    rep = check_asymptotics(p.Q / 2, 8.0, p)
+    assert not rep.passed and rep.rel_error == math.inf
+    assert rep.detail.startswith("q^2 = 1 within 1e-9")
 
 
 def test_asymptotics_report_is_json():

@@ -296,7 +296,8 @@ def test_seed_determinism():
 
 
 def test_rank_below_two_raises():
-    for N in (1, 0):
+    # and above MAX_RANK = 28, before any operator is built
+    for N in (1, 0, 29):
         with pytest.raises(RepresentationError):
             verify_relation("k_raise", N, P)
         with pytest.raises(RepresentationError):
