@@ -5,9 +5,12 @@ gamma_{nj}, 1 <= j <= n <= N (rows 1..N-1 dynamical, row N fixed
 parameters), as finite sums of coefficients times imaginary shifts
 gamma_{nj} -> gamma_{nj} - i(a*omega1 + b*omega2); a coefficient is data,
 a constant times sinh and exp factors.  Relations are scored per shift
-class on arrays of random generic points; TestFunction and apply_operator
-are the pointwise application that the demo and the benchmark's negative
-control use.
+class on arrays of random generic points.  The points are drawn once per
+index pair (n, m) and shared by every relation at that pair, and one
+pair's points are alive at a time.  A report's wall_time is its relation's
+own operator building and scoring; the shared draws are attributed to no
+relation.  TestFunction and apply_operator are the pointwise application
+that the benchmark's negative control uses.
 
 Rank domain: 2 <= N <= MAX_RANK = 28, and require_rank rejects any other
 N before work starts.  A Serre product has (N - 1)^2 (N - 2) terms, more
@@ -370,6 +373,9 @@ _RELATIONS = {
 #: Every relation id: the plain family, its tilde twins, then the cross-relations.
 ALL_RELATIONS = tuple(_RELATIONS)
 
+#: The CheckReport identity_id of each relation.
+_REPORT_IDS = {rel_id: "rep_" + rel_id for rel_id in ALL_RELATIONS}
+
 
 def _relation(rel_id: str) -> _Relation:
     if rel_id not in _RELATIONS:
@@ -399,6 +405,83 @@ def relation_index_pairs(rel_id: str, N: int) -> list[tuple[int, int]]:
     return _relation(rel_id).pairs(N)
 
 
+def _trial_points(N: int, n: int, m: int, trials: int, seed: int) -> dict[GZIndex, np.ndarray]:
+    """The trial points of index pair (n, m), one array per index, drawn by
+    sample_point from the seeds [seed, N, n, m, trial]."""
+    points = [sample_point(N, np.random.default_rng([seed, N, n, m, trial]))
+              for trial in range(trials)]
+    return {idx: np.array([g[idx] for g in points]) for idx in points[0]}
+
+
+def _verify(
+    rel_ids: list[str],
+    N: int,
+    p: OmegaParams,
+    trials: int,
+    seed: int,
+    tolerance: float,
+) -> list[CheckReport]:
+    """Reports of rel_ids, in order.  Each distinct (n, m) draws its trial
+    points once, every relation with that pair scores them and keeps its
+    max score and argmax trial, and the points are dropped before the next
+    pair.  Then each relation sweeps its own pairs in order."""
+    require_rank(N)
+    if trials < 1:
+        raise RepresentationError(f"need trials >= 1, got trials = {trials}")
+    pairs = {rel_id: relation_index_pairs(rel_id, N) for rel_id in rel_ids}
+    at_pair: dict[tuple[int, int], list[tuple[str, int]]] = {}
+    for rel_id, rel_pairs in pairs.items():
+        for i, nm in enumerate(rel_pairs):
+            at_pair.setdefault(nm, []).append((rel_id, i))
+    # each relation's max score and its argmax trial, in its pair order
+    best = {rel_id: np.zeros(len(ps)) for rel_id, ps in pairs.items()}
+    best_trial = {rel_id: np.zeros(len(ps), dtype=int) for rel_id, ps in pairs.items()}
+    wall_time = dict.fromkeys(rel_ids, 0.0)
+    for (n, m), rels in at_pair.items():
+        x = _trial_points(N, n, m, trials, seed)
+        for rel_id, i in rels:
+            start = time.perf_counter()
+            scores = class_scores(_relation_operator(rel_id, n, m, N, p), x)
+            trial = np.argmax(scores)  # the first NaN, if there is one
+            best[rel_id][i], best_trial[rel_id][i] = scores[trial], trial
+            wall_time[rel_id] += time.perf_counter() - start
+        del x  # before the next pair's draws
+
+    reports = []
+    for rel_id, rel_pairs in pairs.items():
+        worst, worst_at = 0.0, None
+        for (n, m), score, trial in zip(rel_pairs, best[rel_id].tolist(),
+                                        best_trial[rel_id].tolist()):
+            if not score <= worst:
+                worst, worst_at = score, (n, m, trial)
+                if not math.isfinite(worst):
+                    break
+        if not math.isfinite(worst):
+            detail = f"non-finite score at (n, m, trial) = {worst_at}"
+        elif worst_at is not None:
+            detail = f"worst at (n, m, trial) = {worst_at}"
+        elif rel_pairs:
+            detail = f"every trial scored exactly 0 (index pairs: {len(rel_pairs)})"
+        else:
+            detail = "no index pairs"
+        reports.append(CheckReport(
+            identity_id=_REPORT_IDS[rel_id],
+            params={
+                "N": N,
+                "omega1": p.omega1,
+                "omega2": p.omega2,
+                "trials": trials,
+                "seed": seed,
+                "index_pairs": len(rel_pairs),
+            },
+            rel_error=worst,
+            tolerance=tolerance,
+            wall_time=wall_time[rel_id],
+            detail=detail,
+        ))
+    return reports
+
+
 def verify_relation(
     rel_id: str,
     N: int,
@@ -409,49 +492,14 @@ def verify_relation(
 ) -> CheckReport:
     """Verify one relation at every index pair: class_scores of the trial
     points that sample_point draws from the seeds [seed, N, n, m, trial],
-    all trials of a pair at once.  The first non-finite score ends the sweep
-    and becomes rel_error, so the check fails.  Fewer than one trial raises
-    RepresentationError."""
-    start = time.perf_counter()
-    require_rank(N)
-    if trials < 1:
-        raise RepresentationError(f"need trials >= 1, got trials = {trials}")
-    pairs = relation_index_pairs(rel_id, N)
-    worst, worst_at = 0.0, None
-    for n, m in pairs:
-        D = _relation_operator(rel_id, n, m, N, p)
-        points = [sample_point(N, np.random.default_rng([seed, N, n, m, trial]))
-                  for trial in range(trials)]
-        x = {idx: np.array([g[idx] for g in points]) for idx in points[0]}
-        scores = class_scores(D, x)
-        trial = int(np.argmax(scores))  # the first NaN, if there is one
-        if not scores[trial] <= worst:
-            worst, worst_at = float(scores[trial]), (n, m, trial)
-            if not math.isfinite(worst):
-                break
-    if not math.isfinite(worst):
-        detail = f"non-finite score at (n, m, trial) = {worst_at}"
-    elif worst_at is not None:
-        detail = f"worst at (n, m, trial) = {worst_at}"
-    elif pairs:
-        detail = f"every trial scored exactly 0 (index pairs: {len(pairs)})"
-    else:
-        detail = "no index pairs"
-    return CheckReport(
-        identity_id=f"rep_{rel_id}",
-        params={
-            "N": N,
-            "omega1": p.omega1,
-            "omega2": p.omega2,
-            "trials": trials,
-            "seed": seed,
-            "index_pairs": len(pairs),
-        },
-        rel_error=worst,
-        tolerance=tolerance,
-        wall_time=time.perf_counter() - start,
-        detail=detail,
-    )
+    all trials of a pair at once.  The seeds do not name the relation, so
+    verify_all draws each (n, m) once for every relation at that pair, one
+    pair's points alive at a time, and reports what this function does.
+    The first non-finite score in pair order ends the sweep and becomes
+    rel_error, so the check fails.  wall_time is the relation's own
+    operator building and scoring, without the draws.  An unknown rel_id
+    or fewer than one trial raises RepresentationError before any draw."""
+    return _verify([rel_id], N, p, trials, seed, tolerance)[0]
 
 
 def verify_all(
@@ -461,7 +509,12 @@ def verify_all(
     seed: int = 42,
     tolerance: float = 1e-8,
 ) -> list[CheckReport]:
-    """Run every relation of the catalogue that has index pairs at this N."""
+    """Run every relation of the catalogue that has index pairs at this N,
+    each as verify_relation does.  The trial points of each distinct (n, m)
+    are drawn once and shared by every relation at that pair; one pair's
+    points are alive at a time.  Each report's wall_time is its relation's
+    own operator building and scoring; the shared draws are attributed to
+    no relation."""
     require_rank(N)
-    return [verify_relation(rel_id, N, p, trials, seed, tolerance)
-            for rel_id in ALL_RELATIONS if relation_index_pairs(rel_id, N)]
+    return _verify([rel_id for rel_id in ALL_RELATIONS if relation_index_pairs(rel_id, N)],
+                   N, p, trials, seed, tolerance)

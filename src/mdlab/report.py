@@ -24,7 +24,7 @@ def relative_error(lhs, rhs) -> float:
     return float(np.max(abs(lhs - rhs) / scale))
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     """One verified identity: what was checked, at which parameters, how well.
 

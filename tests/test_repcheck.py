@@ -1,5 +1,6 @@
 import cmath
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -295,6 +296,64 @@ def test_seed_determinism():
     assert [r.rel_error for r in a] != [r.rel_error for r in c]
 
 
+def _distinct_pairs(N):
+    return {nm for rel_id in ALL_RELATIONS for nm in relation_index_pairs(rel_id, N)}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("seed", [7, 12345])
+def test_verify_all_is_verify_relation_per_relation(N, seed):
+    # sharing each pair's points across relations changes no report
+    p = OmegaParams(0.5, 0.7)
+    together = verify_all(N, p, trials=6, seed=seed)
+    alone = [verify_relation(r, N, p, trials=6, seed=seed)
+             for r in ALL_RELATIONS if relation_index_pairs(r, N)]
+    assert len(together) == len(alone)
+    for a, b in zip(together, alone):
+        assert a.identity_id == b.identity_id and a.params == b.params
+        assert repr(a.rel_error) == repr(b.rel_error)
+        assert a.detail == b.detail and a.passed == b.passed
+
+
+def test_each_pair_drawn_once(monkeypatch):
+    calls = []
+    draw = repcheck.sample_point
+
+    def counted(N, rng):
+        calls.append(N)
+        return draw(N, rng)
+
+    monkeypatch.setattr(repcheck, "sample_point", counted)
+    verify_all(4, P, trials=3)
+    assert len(calls) == 3 * len(_distinct_pairs(4)) == 3 * 15
+
+
+def test_one_pair_of_points_alive(monkeypatch):
+    # each pair's point arrays are dropped before the next pair is drawn,
+    # so memory does not grow with the number of pairs
+    arrays = []
+    draw, score = repcheck.sample_point, repcheck.class_scores
+
+    def live():
+        return sum(ref() is not None for ref in arrays)
+
+    def checked_draw(N, rng):
+        assert live() == 0
+        return draw(N, rng)
+
+    def checked_score(A, gamma):
+        a = next(iter(gamma.values()))
+        if not any(ref() is a for ref in arrays):
+            arrays.append(weakref.ref(a))
+        assert live() == 1
+        return score(A, gamma)
+
+    monkeypatch.setattr(repcheck, "sample_point", checked_draw)
+    monkeypatch.setattr(repcheck, "class_scores", checked_score)
+    verify_all(4, P, trials=3)
+    assert len(arrays) == len(_distinct_pairs(4))
+
+
 def test_rank_below_two_raises():
     # and above MAX_RANK = 28, before any operator is built
     for N in (1, 0, 29):
@@ -306,7 +365,15 @@ def test_rank_below_two_raises():
             representation_suite(gl_rank=N)
 
 
-def test_no_trials_raises():
+def _no_draws(monkeypatch):
+    def draw(N, rng):
+        raise AssertionError("drew a point")
+
+    monkeypatch.setattr(repcheck, "sample_point", draw)
+
+
+def test_no_trials_raises(monkeypatch):
+    _no_draws(monkeypatch)
     for trials in (0, -1):
         with pytest.raises(RepresentationError, match="trials"):
             verify_relation("k_raise", 2, P, trials=trials)
@@ -316,8 +383,9 @@ def test_no_trials_raises():
             representation_suite(gl_rank=2, trials=trials)
 
 
-def test_unknown_relation():
-    with pytest.raises(RepresentationError):
+def test_unknown_relation(monkeypatch):
+    _no_draws(monkeypatch)
+    with pytest.raises(RepresentationError, match="unknown relation id"):
         verify_relation("no_such_relation", 2, P)
     # the tilde twins exist for the plain relations only
     for rel_id in ("no_such_relation", "tilde_cross_raise_tk"):
