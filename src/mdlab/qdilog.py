@@ -41,8 +41,11 @@ reaches both strip margins and of about 14,000 near the middle of the
 strip, where gb's reduction puts its points.
 
 Outside the strip the argument is reduced back into it with the shift
-equation G_b(z + b^{±1}) = (1 - e^{2 pi i b^{±1} z}) G_b(z), accumulating
-the finite product of factors exactly.
+equation G_b(z + b^{±1}) = (1 - e^{2 pi i b^{±1} z}) G_b(z), summing the
+logs of the step factors, so that G_b(z) = exp(log sum + log G_b(z')) with
+z' in the strip.  No partial product can leave double precision; gb raises
+OverflowError only where G_b(z) itself does (not finite, or 0 off the zero
+lattice).
 
 Also provided: pole/zero classification on the lattices -n1*b - n2/b and
 Q + n1*b + n2/b, each searched in full so that no lattice point is missed;
@@ -62,7 +65,6 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .params import BParam
-from .quadrature import _leggauss
 from .report import CheckReport
 
 TWO_PI_I = 2j * math.pi
@@ -84,8 +86,9 @@ _MAX_T = 512.0
 # takes 18,960.
 _MAX_NODES = 2**20
 
-# Gauss-Legendre nodes per panel of the G_b grid.
+# Gauss-Legendre nodes per panel of the G_b grid, and the rule on [-1, 1].
 _PANEL_NODES = 24
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
 
 # Values per strip-kernel block (2 MB of complex128): the kernel takes as
 # many rows of z as fit against its grid, so its memory grows neither with
@@ -219,15 +222,14 @@ def _t_grid(
     integrand.  Raises ValueError once the grid would exceed _MAX_NODES nodes.
     """
     eps = _contour_elevation(p)
-    nodes, weights = _leggauss(_PANEL_NODES)
     budget = _MAX_NODES // _PANEL_NODES
     ts, ws = [], []
     for sign, delta in ((1.0, delta_pos), (-1.0, delta_neg)):
         e = _panel_edges(eps, ymax, min(_TAIL_LOG / delta, _MAX_T), budget)
         budget -= len(e) - 1
         mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
-        ts.append(sign * (mid[:, None] + half[:, None] * nodes).ravel())
-        ws.append((half[:, None] * weights).ravel())
+        ts.append(sign * (mid[:, None] + half[:, None] * _GL_NODES).ravel())
+        ws.append((half[:, None] * _GL_WEIGHTS).ravel())
     t = np.concatenate(ts)
     w = np.concatenate(ws)
     return t + 1j * eps, w
@@ -320,37 +322,34 @@ def _reduction_shift(x: float, p: BParam) -> tuple[int, int]:
 
 
 def _apply_steps(z: complex, n: int, s: float) -> tuple[complex, complex]:
-    """Walk z -> z + n*s one step at a time; return (z', multiplier) with
-    G_b(z) = multiplier * G_b(z')."""
-    x, mult = z, 1.0 + 0.0j
+    """Walk z -> z + n*s one step at a time; return (z', L) with
+    G_b(z) = e^L G_b(z'), L the sum of the step factors' logs."""
+    x, log_mult = z, 0j
     for _ in range(abs(n)):
         if n > 0:
             factor = 1.0 - cmath.exp(TWO_PI_I * s * x)
             if abs(factor) < 1e-280:
                 raise PoleError(f"shift factor vanished at z = {x}")
-            mult /= factor
+            log_mult -= cmath.log(factor)
             x += s
         else:
             x -= s
-            mult *= 1.0 - cmath.exp(TWO_PI_I * s * x)
-    if not (1e-250 < abs(mult) < 1e250):
-        raise OverflowError(
-            f"accumulated shift factor {abs(mult):.3e} out of range; argument "
-            "too far from the strip for double precision"
-        )
-    return x, mult
+            log_mult += cmath.log(1.0 - cmath.exp(TWO_PI_I * s * x))
+    return x, log_mult
 
 
 def gb(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
     """G_b(z) anywhere away from the pole lattice.
 
     Zero-lattice points return exactly 0; all other points are reduced into
-    the strip and evaluated from the integral representation.
+    the strip and evaluated as exp(log sum of the shift factors + log
+    G_b(z')).  OverflowError names the first z whose G_b is not finite, or
+    is 0 off the zero lattice, in double precision.
     """
     zs = _finite_array(z)
     out = np.zeros(zs.size, dtype=complex)
     reduced: list[complex] = []
-    mults: list[complex] = []
+    log_shifts: list[complex] = []
     idx: list[int] = []
     for i, zi in enumerate(zs.ravel()):
         c = classify(zi, p, tol=1e-12)
@@ -359,14 +358,20 @@ def gb(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
         if c.kind == "zero":
             continue
         n1, n2 = _reduction_shift(zi.real, p)
-        x1, m1 = _apply_steps(zi, n1, p.b)
-        x2, m2 = _apply_steps(x1, n2, 1.0 / p.b)
+        x1, l1 = _apply_steps(zi, n1, p.b)
+        x2, l2 = _apply_steps(x1, n2, 1.0 / p.b)
         reduced.append(x2)
-        mults.append(m1 * m2)
+        log_shifts.append(l1 + l2)
         idx.append(i)
     if reduced:
-        logs = log_gb_strip(np.array(reduced), p)
-        out[idx] = np.asarray(mults) * np.exp(logs)
+        with np.errstate(over="ignore"):
+            values = np.exp(np.asarray(log_shifts) + log_gb_strip(np.array(reduced), p))
+        bad = ~np.isfinite(values) | (values == 0)
+        if bad.any():
+            raise OverflowError(
+                f"G_b(z) at z = {zs.ravel()[idx][bad][0]} is out of double range"
+            )
+        out[idx] = values
     return out.reshape(zs.shape) if np.ndim(z) else complex(out[0])
 
 
@@ -402,21 +407,15 @@ def residue_coeff(n1: int, n2: int, p: BParam) -> complex:
     if n1 < 0 or n2 < 0:
         raise ValueError("lattice indices must be nonnegative")
     coeff = 1.0 / (2.0 * math.pi) + 0.0j
-    for k in range(1, n1 + 1):
-        den = 1.0 - p.q ** (-2 * k)
-        if abs(den) < 1e-9:
-            raise ZeroDivisionError(
-                f"q^{2 * k} = 1 within 1e-9: b^2 is (nearly) rational with a "
-                "small denominator; residue coefficient is singular"
-            )
-        coeff /= den
-    for k in range(1, n2 + 1):
-        den = 1.0 - p.qtilde ** (-2 * k)
-        if abs(den) < 1e-9:
-            raise ZeroDivisionError(
-                f"qtilde^{2 * k} = 1 within 1e-9; residue coefficient is singular"
-            )
-        coeff /= den
+    for name, base, n in (("q", p.q, n1), ("qtilde", p.qtilde, n2)):
+        for k in range(1, n + 1):
+            den = 1.0 - base ** (-2 * k)
+            if abs(den) < 1e-9:
+                raise ZeroDivisionError(
+                    f"{name}^{2 * k} = 1 within 1e-9: b^2 is (nearly) rational with "
+                    "a small denominator; residue coefficient is singular"
+                )
+            coeff /= den
     return coeff
 
 
@@ -480,7 +479,7 @@ def check_asymptotics(
     else:
         dev_up = abs(upper - pred)
         dev_down = abs(cmath.exp(log_gb_strip(z, p) - log_pred) - 1.0)
-        dev = max(dev_up, dev_down)
+        dev = float(np.max([dev_up, dev_down]))
         detail = f"upper-branch dev {dev_up:.3e}, lower-branch dev {dev_down:.3e}"
     return CheckReport(
         identity_id="asymptotic_behavior",

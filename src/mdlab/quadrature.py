@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -55,12 +54,6 @@ class QuadratureConfig:
 
 # Equal panels on [-T, T] before adaptive bisection starts.
 _INITIAL_PANELS = 16
-
-
-@lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
 
 
 # The G10/K21 Gauss-Kronrod pair on [-1, 1], as tabulated in QUADPACK's qk21

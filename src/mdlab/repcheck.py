@@ -422,48 +422,41 @@ def _verify(
     tolerance: float,
 ) -> list[CheckReport]:
     """Reports of rel_ids, in order.  Each distinct (n, m) draws its trial
-    points once, every relation with that pair scores them and keeps its
-    max score and argmax trial, and the points are dropped before the next
-    pair.  Then each relation sweeps its own pairs in order."""
+    points once, every relation with that pair scores them, and the points
+    are dropped before the next pair.  A relation's scores are stacked in
+    its pair order, and np.argmax picks the first NaN, or else the first
+    maximum, as its rel_error."""
     require_rank(N)
     if trials < 1:
         raise RepresentationError(f"need trials >= 1, got trials = {trials}")
     pairs = {rel_id: relation_index_pairs(rel_id, N) for rel_id in rel_ids}
-    at_pair: dict[tuple[int, int], list[tuple[str, int]]] = {}
+    at_pair: dict[tuple[int, int], list[str]] = {}
     for rel_id, rel_pairs in pairs.items():
-        for i, nm in enumerate(rel_pairs):
-            at_pair.setdefault(nm, []).append((rel_id, i))
-    # each relation's max score and its argmax trial, in its pair order
-    best = {rel_id: np.zeros(len(ps)) for rel_id, ps in pairs.items()}
-    best_trial = {rel_id: np.zeros(len(ps), dtype=int) for rel_id, ps in pairs.items()}
-    wall_time = dict.fromkeys(rel_ids, 0.0)
+        for nm in rel_pairs:
+            at_pair.setdefault(nm, []).append(rel_id)
+    scores: dict[str, dict[tuple[int, int], np.ndarray]] = {rel_id: {} for rel_id in pairs}
+    wall_time = dict.fromkeys(pairs, 0.0)
     for (n, m), rels in at_pair.items():
         x = _trial_points(N, n, m, trials, seed)
-        for rel_id, i in rels:
+        for rel_id in rels:
             start = time.perf_counter()
-            scores = class_scores(_relation_operator(rel_id, n, m, N, p), x)
-            trial = np.argmax(scores)  # the first NaN, if there is one
-            best[rel_id][i], best_trial[rel_id][i] = scores[trial], trial
+            scores[rel_id][n, m] = class_scores(_relation_operator(rel_id, n, m, N, p), x)
             wall_time[rel_id] += time.perf_counter() - start
         del x  # before the next pair's draws
 
     reports = []
     for rel_id, rel_pairs in pairs.items():
-        worst, worst_at = 0.0, None
-        for (n, m), score, trial in zip(rel_pairs, best[rel_id].tolist(),
-                                        best_trial[rel_id].tolist()):
-            if not score <= worst:
-                worst, worst_at = score, (n, m, trial)
-                if not math.isfinite(worst):
-                    break
-        if not math.isfinite(worst):
-            detail = f"non-finite score at (n, m, trial) = {worst_at}"
-        elif worst_at is not None:
-            detail = f"worst at (n, m, trial) = {worst_at}"
-        elif rel_pairs:
-            detail = f"every trial scored exactly 0 (index pairs: {len(rel_pairs)})"
-        else:
-            detail = "no index pairs"
+        worst, detail = 0.0, "no index pairs"
+        if rel_pairs:
+            stacked = np.stack([scores[rel_id][nm] for nm in rel_pairs])
+            pair, trial = divmod(int(np.argmax(stacked)), trials)
+            worst, at = float(stacked[pair, trial]), (*rel_pairs[pair], trial)
+            if not math.isfinite(worst):
+                detail = f"non-finite score at (n, m, trial) = {at}"
+            elif worst > 0:
+                detail = f"worst at (n, m, trial) = {at}"
+            else:
+                detail = f"every trial scored exactly 0 (index pairs: {len(rel_pairs)})"
         reports.append(CheckReport(
             identity_id=_REPORT_IDS[rel_id],
             params={
@@ -495,10 +488,12 @@ def verify_relation(
     all trials of a pair at once.  The seeds do not name the relation, so
     verify_all draws each (n, m) once for every relation at that pair, one
     pair's points alive at a time, and reports what this function does.
-    The first non-finite score in pair order ends the sweep and becomes
-    rel_error, so the check fails.  wall_time is the relation's own
-    operator building and scoring, without the draws.  An unknown rel_id
-    or fewer than one trial raises RepresentationError before any draw."""
+    rel_error is the worst score over all pairs and trials, NaN if any
+    score is NaN, so the check fails; detail names the (n, m, trial) of the
+    first NaN in pair order, or else of the first maximum.  wall_time is
+    the relation's own operator building and scoring, without the draws.
+    An unknown rel_id or fewer than one trial raises RepresentationError
+    before any draw."""
     return _verify([rel_id], N, p, trials, seed, tolerance)[0]
 
 
@@ -515,6 +510,5 @@ def verify_all(
     points are alive at a time.  Each report's wall_time is its relation's
     own operator building and scoring; the shared draws are attributed to
     no relation."""
-    require_rank(N)
-    return _verify([rel_id for rel_id in ALL_RELATIONS if relation_index_pairs(rel_id, N)],
-                   N, p, trials, seed, tolerance)
+    reports = _verify(list(ALL_RELATIONS), N, p, trials, seed, tolerance)
+    return [r for r in reports if r.params["index_pairs"]]

@@ -5,9 +5,12 @@ with timing wrappers for one traced round.  If a module renames or stops
 importing a name the tracer patches, ``install`` fails or the restore in
 ``uninstall`` misses it; either breaks later, untraced runs in the same
 process.  ``bench/controls.py`` builds the representation's negative
-control from the public ``repcheck`` names.
+control from the public ``repcheck`` names.  One round of each workload
+must run and pass its gates.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,3 +56,15 @@ def test_representation_control(controls):
     assert controls.relation_score(3, 2, 1, 0, 1.0, 3, 0) <= 1e-8
     assert controls.relation_score(3, 2, 1, 1, 1.0, 3, 0) > 1e-5
     assert controls.relation_score(3, 2, 1, 0, -1.0, 3, 0) > 1e-5
+
+
+@pytest.mark.parametrize(
+    "workload", ["contour-identities", "gb-batch", "symbolic-identities", "gl-representation"])
+def test_workload_round_passes(workload):
+    # One round, from the root of the checkout as bench/run.py expects.
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", "0.01"]
+    out = subprocess.run(argv, cwd=BENCH.parent, capture_output=True, text=True,
+                         timeout=300, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

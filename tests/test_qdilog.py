@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mdlab.params import BParam
-from mdlab import qdilog
+from mdlab import qdilog, suites
 from mdlab.qdilog import (
     STRIP_MARGIN,
     PoleError,
@@ -269,6 +269,88 @@ def test_qdilog_suite_passes_away_from_083(b):
     assert [r.identity_id for r in reports if not r.passed] == []
     residues = next(r for r in reports if r.identity_id == "residues")
     assert residues.rel_error < 1e-11
+
+
+@pytest.mark.parametrize("b, n1, n2", [(0.03, 0, 3), (33.7, 3, 0)])
+def test_gb_where_the_step_product_leaves_double_range(b, n1, n2):
+    # G_b(z0 + n1*b + n2/b) is about 1e182, but the steps back to the strip
+    # multiply to 7.5e272 (b = 0.03) or 7.5e275 (b = 33.7).  Summed as logs,
+    # the steps give the value the shift product predicts.
+    p = BParam(b)
+    z0 = complex(0.2 * p.Q, -1.0)
+    z = z0 + n1 * p.b + n2 / p.b
+    expected = shift_product(z0, n1, n2, p) * gb(z0, p)
+    assert abs(gb(z, p) - expected) / abs(expected) < 1e-9
+
+
+def test_gb_out_of_double_range_raises():
+    # log|G_b(z)| = 718 here, past log(DBL_MAX) = 709.8: the value, not a
+    # partial product, leaves double precision, and gb names z.
+    p = BParam(29.3)
+    z = complex(111.36730375426622, -1.0)
+    with pytest.raises(OverflowError, match=re.escape(f"z = {z}")):
+        gb(z, p)
+    with pytest.raises(OverflowError, match="out of double range"):
+        gb(np.array([1.0 + 0j, z]), p)
+
+
+def test_qdilog_suite_passes_near_top_of_double_range():
+    # b = 28.3: the functional equation's shifts by 3b reach |log G_b| of
+    # 690, just inside double precision (709.8).
+    reports = qdilog_suite(28.3)
+    assert [r.identity_id for r in reports if not r.passed] == []
+
+
+def test_qdilog_suite_outside_double_range_raises():
+    # At b = 33.7 the functional equation's shifts by 3b reach |log G_b| of
+    # 850; the suite raises instead of comparing non-finite values.
+    with pytest.raises(OverflowError, match="out of double range"):
+        qdilog_suite(33.7)
+
+
+def test_functional_equation_nan_fails(monkeypatch):
+    # One NaN among the 1,500 shifted values fails the check.
+    calls = []
+
+    def gb_nan_once(z, p):
+        out = gb(z, p)
+        calls.append(z)
+        if len(calls) == 3:  # the batch shifted by 2/b
+            out[7] = math.nan
+        return out
+
+    monkeypatch.setattr(suites, "gb", gb_nan_once)
+    rep = suites.check_functional_equation(0.83)
+    assert len(calls) == 16
+    assert math.isnan(rep.rel_error) and not rep.passed
+
+
+def test_residues_nan_fails(monkeypatch):
+    limit = suites.residue_limit
+    monkeypatch.setattr(suites, "residue_limit", lambda n1, n2, p: (
+        complex(math.nan) if (n1, n2) == (1, 1) else limit(n1, n2, p)))
+    rep = suites.check_residues(0.83)
+    assert math.isnan(rep.rel_error) and not rep.passed
+
+
+def test_special_values_nan_fails(monkeypatch):
+    # NaN at G_b(1/b), the second of the two errors.
+    monkeypatch.setattr(suites, "gb", lambda z, p: (
+        complex(math.nan) if z == 1.0 / p.b else gb(z, p)))
+    rep = suites.check_special_values(0.83)
+    assert math.isnan(rep.rel_error) and not rep.passed
+
+
+def test_asymptotics_lower_branch_nan_fails(monkeypatch):
+    # gb evaluates arrays; only the lower branch calls log_gb_strip on a
+    # scalar, so only its deviation turns NaN.
+    strip = qdilog.log_gb_strip
+    monkeypatch.setattr(qdilog, "log_gb_strip", lambda z, p: (
+        strip(z, p) if np.ndim(z) else complex(math.nan)))
+    rep = check_asymptotics(P.Q / 2, 8.0, P)
+    up, down = _branch_devs(rep)
+    assert up < 1e-9 and math.isnan(down)
+    assert math.isnan(rep.rel_error) and not rep.passed
 
 
 def test_shift_product_vs_direct():

@@ -465,3 +465,15 @@ def test_overflowing_coefficients_fail(rel_id):
     rep = verify_relation(rel_id, 3, OmegaParams(0.003, 1.0), trials=5)
     assert math.isnan(rep.rel_error) and not rep.passed
     assert rep.detail.startswith("non-finite score at (n, m, trial) = ")
+
+
+def test_nan_score_outranks_larger_scores(monkeypatch):
+    # A finite 5.0 at the first pair, then the first NaN at the second pair's
+    # last trial; a larger 9.0 and a second NaN follow.  rel_error is NaN and
+    # the detail names the first NaN.
+    scripted = iter([[0.0, 5.0, 0.0], [0.0, 1.0, math.nan], [math.nan, 9.0, 0.0], [0.0] * 3])
+    monkeypatch.setattr(repcheck, "class_scores", lambda A, x: np.array(next(scripted)))
+    rep = verify_relation("ef_commutator", 3, P, trials=3)
+    n, m = relation_index_pairs("ef_commutator", 3)[1]
+    assert math.isnan(rep.rel_error) and not rep.passed
+    assert rep.detail == f"non-finite score at (n, m, trial) = {(n, m, 2)}"
