@@ -25,11 +25,23 @@ Approximation Practice, 2013, ch. 19), pi (2n)^2 what the third-order pole
 adds when E_rho reaches it, and e^{|Im z| h sinh lam} the growth of e^{zt}
 on E_rho.  Each panel is the widest for which some E_rho keeps this below
 e^{-40}, the tail target.  So panels grow geometrically away from t = 0
-and are never wider than 26.0/|Im z|.  Against a 30-digit mpmath integral
-the kernel agrees to about 2e-14 for |Im z| <= 3 and to 1e-12 up to
-|Im z| = 8.  Below the real axis it loses digits as |Im z| grows: the
-rounding error of the panels next to t = 0 (9e-15 at b = 0.4, z = Q/2)
-is scaled by e^{eps |Im z|}.
+and are never wider than 26.0/|Im z|; past the few panels near t = 0 a run
+of equal panels reaches the cut.
+
+The kernel sums the integrand as e^{u t} w(t), u = z - Q on the positive
+side and u = z on the negative one, with the rule's weight and the
+denominators folded into w.  On the run, a node t = a + i eps + o, o the
+node's offset from its panel's inner edge a, factors e^{u t} as
+e^{u (a + i eps)} e^{u o}: for each z one exp per run panel and one per
+offset, and a matrix product, in place of one exp per node.  Anchored at
+the inner edge, a and o both point away from t = 0, so Re(u a) <= 0 and
+Re(u o) <= 0: neither factor grows past the e^{-eps Im z} that every node
+carries, even at b = 0.035, where e^{Q h} would overflow.
+
+Against a 30-digit mpmath integral the kernel agrees to about 2e-14 for
+|Im z| <= 3 and to 1e-12 up to |Im z| = 8.  Below the real axis it loses
+digits as |Im z| grows: the rounding error of the panels next to t = 0
+(9e-15 at b = 0.4, z = Q/2) is scaled by e^{eps |Im z|}.
 
 A batch is split into bands, the octaves [2^k, 2^(k+1)) of 1 + |Im z|, and
 each band is evaluated on its own grid, sized for the band's decay rates
@@ -43,9 +55,13 @@ strip, where gb's reduction puts its points.
 Outside the strip the argument is reduced back into it with the shift
 equation G_b(z + b^{±1}) = (1 - e^{2 pi i b^{±1} z}) G_b(z), summing the
 logs of the step factors, so that G_b(z) = exp(log sum + log G_b(z')) with
-z' in the strip.  No partial product can leave double precision; gb raises
+z' in the strip.  The shifts depend on Re z alone and are chosen once per
+distinct real part of a batch; the whole batch then walks its steps as
+arrays.  No partial product can leave double precision; gb raises
 OverflowError only where G_b(z) itself does (not finite, or 0 off the zero
-lattice).
+lattice).  The factored kernel and the array walk change no accuracy
+stated here: values agree with the node-by-node sum and the scalar walk to
+rounding.
 
 Also provided: pole/zero classification on the lattices -n1*b - n2/b and
 Q + n1*b + n2/b, each searched in full so that no lattice point is missed;
@@ -90,9 +106,12 @@ _MAX_NODES = 2**20
 _PANEL_NODES = 24
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
 
-# Values per strip-kernel block (2 MB of complex128): the kernel takes as
-# many rows of z as fit against its grid, so its memory grows neither with
-# the batch nor with the grid, which widens with |Im z| and near the margin.
+# Values per strip-kernel block (2 MB of complex128), all of its buffers
+# together: the kernel takes as many rows of z as fit against the longer
+# side's exponent factors (one per node near t = 0, one per run panel and
+# one per offset) and the run product's 24 values, so its memory grows
+# neither with the batch nor with the grid, which widens with |Im z| and
+# near the margin.
 _BLOCK_VALUES = 2**17
 
 
@@ -172,9 +191,13 @@ _LAM_OSC = _bisect(lambda lam: lam - math.tanh(lam) >= _LAM_MIN, _LAM_MIN, _LAM_
 _OSC_HALF_WIDTH = 2 * _PANEL_NODES * (_LAM_OSC - _LAM_MIN) / math.sinh(_LAM_OSC)
 
 
-def _panel_edges(eps: float, ymax: float, T: float, budget: int) -> np.ndarray:
-    """Edges 0 = e_0 < e_1 < ... < e_m = T of the panels along one side of
-    the contour Im t = eps; ValueError if m would exceed ``budget``.
+def _panel_edges(
+    eps: float, ymax: float, T: float, budget: int
+) -> tuple[np.ndarray, int, float]:
+    """Panels along one side of the contour Im t = eps, from t = 0 to T:
+    (edges, count, width), the edges 0 = e_0 < ... < e_g of the panels near
+    t = 0, then a run of ``count`` equal panels of ``width`` from e_g to T.
+    ValueError if g + count would exceed ``budget``.
 
     A panel [a, a + 2h] is the widest whose Bernstein ellipse E_rho, rho =
     e^lam, avoids t = 0 and bounds the rule's error pi (2n)^2 rho^(-2n)
@@ -182,7 +205,8 @@ def _panel_edges(eps: float, ymax: float, T: float, budget: int) -> np.ndarray:
     semi-axes h cosh lam and h sinh lam, so it avoids t = 0 while h <= (a +
     d cosh lam)/sinh^2 lam, d = |a + i eps|.  Near t = 0 that singularity
     binds and the panels grow geometrically; once the oscillation binds,
-    every further panel has half-width _OSC_HALF_WIDTH/|Im z|.
+    the run fills the rest with the fewest panels of half-width at most
+    _OSC_HALF_WIDTH/|Im z|.
     """
     h_osc = _OSC_HALF_WIDTH / ymax if ymax > 0 else math.inf
     edges = [0.0]
@@ -205,17 +229,37 @@ def _panel_edges(eps: float, ymax: float, T: float, budget: int) -> np.ndarray:
         raise ValueError(
             f"|Im z| = {ymax} needs a G_b grid of more than {_MAX_NODES} nodes"
         )
-    if a < T:
-        width = 2.0 * h_osc
-        edges.extend(a + width * np.arange(1, math.ceil((T - a) / width) + 1))
-    edges[-1] = T
-    return np.array(edges)
+    if a >= T:
+        edges[-1] = T
+        return np.array(edges), 0, 0.0
+    count = math.ceil((T - a) / (2.0 * h_osc))
+    return np.array(edges), count, (T - a) / count
 
 
-def _t_grid(
-    p: BParam, delta_neg: float, delta_pos: float, ymax: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre composite grid on the elevated line.
+@dataclass(frozen=True)
+class _Side:
+    """One side of the contour, laid out for the strip kernel.
+
+    The integrand is e^{u t} w(t) with u = z - ``shift``: shift = Q on the
+    positive side, 0 on the negative one, and the weight w(t) carries the
+    rule's weight and 1/(t (e^{-bt} - 1)(e^{-t/b} - 1)) or 1/(t (1 - e^{bt})
+    (1 - e^{t/b})), so that every factor stays bounded.  ``x`` lists the
+    factors of u in the exponents: the nodes t_j of the panels near t = 0
+    (weights ``w``), then the run's inner panel edges a_k + i eps, then the
+    offsets o_m of a run panel's nodes from its inner edge (weights W[k, m]).
+    The side's integral is sum_j w_j e^{u t_j} + sum_k e^{u (a_k + i eps)}
+    sum_m W[k, m] e^{u o_m}.
+    """
+
+    shift: float
+    x: np.ndarray
+    w: np.ndarray
+    W: np.ndarray
+
+
+def _t_grid(p: BParam, delta_neg: float, delta_pos: float, ymax: float) -> list[_Side]:
+    """Gauss-Legendre composite grid on the elevated line, as its positive
+    and its negative side.
 
     The panels are those of _panel_edges on each side of t = 0; the
     truncation on each side comes from the analytic decay rates of the
@@ -223,16 +267,30 @@ def _t_grid(
     """
     eps = _contour_elevation(p)
     budget = _MAX_NODES // _PANEL_NODES
-    ts, ws = [], []
-    for sign, delta in ((1.0, delta_pos), (-1.0, delta_neg)):
-        e = _panel_edges(eps, ymax, min(_TAIL_LOG / delta, _MAX_T), budget)
-        budget -= len(e) - 1
+    sides = []
+    for sign, delta, shift in ((1.0, delta_pos, p.Q), (-1.0, delta_neg, 0.0)):
+        e, count, width = _panel_edges(eps, ymax, min(_TAIL_LOG / delta, _MAX_T), budget)
+        budget -= len(e) - 1 + count
+
+        def weights(t: np.ndarray, half: np.ndarray) -> np.ndarray:
+            den = np.expm1(-sign * p.b * t) * np.expm1(-sign * t / p.b) * t
+            return half * _GL_WEIGHTS / den
+
         mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
-        ts.append(sign * (mid[:, None] + half[:, None] * _GL_NODES).ravel())
-        ws.append((half[:, None] * _GL_WEIGHTS).ravel())
-    t = np.concatenate(ts)
-    w = np.concatenate(ws)
-    return t + 1j * eps, w
+        t = sign * (mid[:, None] + half[:, None] * _GL_NODES) + 1j * eps
+        anchors = sign * (e[-1] + width * np.arange(count)) + 1j * eps
+        if count:
+            offsets = sign * 0.5 * width * (1.0 + _GL_NODES)
+            W = weights(anchors[:, None] + offsets, 0.5 * width)
+        else:
+            offsets, W = np.empty(0), np.empty((0, 0))
+        sides.append(_Side(
+            shift=shift,
+            x=np.concatenate([t.ravel(), anchors, offsets]),
+            w=weights(t, half[:, None]).ravel(),
+            W=W,
+        ))
+    return sides
 
 
 def _finite_array(z: complex | np.ndarray) -> np.ndarray:
@@ -247,34 +305,34 @@ def _finite_array(z: complex | np.ndarray) -> np.ndarray:
 
 def _strip_integral(zs: np.ndarray, p: BParam) -> np.ndarray:
     """I(z) of the module docstring for the 1-d array ``zs``, on one grid
-    sized for its worst decay rates and its largest |Im z|."""
+    sized for its worst decay rates and its largest |Im z|.
+
+    One block of rows at a time takes e^{u x} for each side's factors x in
+    place and sums it against the side's weights: a matrix-vector product
+    for the panels near t = 0, and for the run one (rows x count) @ (count x
+    24) product dotted row by row with the offsets' exponentials.
+    """
     delta_neg = float(np.min(zs.real))          # decay rate towards t -> -inf
     delta_pos = float(p.Q - np.max(zs.real))    # decay rate towards t -> +inf
     ymax = float(np.max(np.abs(zs.imag)))
-    t, w = _t_grid(p, delta_neg, delta_pos, ymax)
+    sides = _t_grid(p, delta_neg, delta_pos, ymax)
 
-    # For t -> +inf rewrite with the denominators pulled out so everything
-    # stays bounded: e^{z t}/((1-e^{bt})(1-e^{t/b})) = e^{(z-Q)t}/((e^{-bt}-1)(e^{-t/b}-1)).
-    # One block of rows at a time is shifted, exponentiated and divided in
-    # place; a block holds at most _BLOCK_VALUES values, or one row when a
-    # single row is longer.
-    pos = t.real >= 0
-    shift = np.where(pos, p.Q * t, 0.0)
-    den = np.empty_like(t)
-    den[pos] = np.expm1(-p.b * t[pos]) * np.expm1(-t[pos] / p.b) * t[pos]
-    den[~pos] = -np.expm1(p.b * t[~pos]) * -np.expm1(t[~pos] / p.b) * t[~pos]
-
-    step = max(1, _BLOCK_VALUES // len(t))
-    integral = np.empty_like(zs)
-    block = np.empty((min(len(zs), step), len(t)), dtype=complex)
+    # Per row, the block takes the longer side's factors and the run
+    # product's _PANEL_NODES values.
+    width = max(side.x.size for side in sides)
+    step = max(1, _BLOCK_VALUES // (width + _PANEL_NODES))
+    integral = np.zeros_like(zs)
+    block = np.empty((min(len(zs), step), width), dtype=complex)
     for lo in range(0, len(zs), step):
         rows = zs[lo:lo + step]
-        vals = block[:len(rows)]
-        np.multiply.outer(rows, t, out=vals)
-        vals -= shift
-        np.exp(vals, out=vals)
-        vals /= den
-        integral[lo:lo + len(rows)] = vals @ w
+        acc = integral[lo:lo + len(rows)]
+        for side in sides:
+            near, run = side.w.size, side.w.size + len(side.W)
+            vals = block[:len(rows), :side.x.size]
+            np.multiply.outer(rows - side.shift, side.x, out=vals)
+            np.exp(vals, out=vals)
+            acc += vals[:, :near] @ side.w
+            acc += np.einsum("ij,ij->i", vals[:, near:run] @ side.W, vals[:, run:])
     return integral
 
 
@@ -321,57 +379,77 @@ def _reduction_shift(x: float, p: BParam) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def _apply_steps(z: complex, n: int, s: float) -> tuple[complex, complex]:
-    """Walk z -> z + n*s one step at a time; return (z', L) with
-    G_b(z) = e^L G_b(z'), L the sum of the step factors' logs."""
-    x, log_mult = z, 0j
-    for _ in range(abs(n)):
-        if n > 0:
-            factor = 1.0 - cmath.exp(TWO_PI_I * s * x)
-            if abs(factor) < 1e-280:
-                raise PoleError(f"shift factor vanished at z = {x}")
-            log_mult -= cmath.log(factor)
-            x += s
-        else:
-            x -= s
-            log_mult += cmath.log(1.0 - cmath.exp(TWO_PI_I * s * x))
-    return x, log_mult
+def _reduction_shifts(x: np.ndarray, p: BParam) -> np.ndarray:
+    """_reduction_shift of each real part in ``x``, as rows (n1, n2), run
+    once per distinct value."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([_reduction_shift(v, p) for v in values])[inverse]
+
+
+def _walk(z: np.ndarray, n: np.ndarray, s: float, origin: np.ndarray) -> np.ndarray:
+    """Walk each z[k] to z[k] + n[k]*s in place, one step of s at a time, and
+    return L with G_b(z[k]) = e^{L[k]} G_b(z[k] + n[k]*s), the sum of the
+    step factors' logs.
+
+    A step up takes its factor 1 - e^{2 pi i s x} at x and then moves; a step
+    down moves and then takes it.  The points walk in order of decreasing
+    |n|, so the ones still walking at each step are a prefix.  PoleError
+    names the point of ``origin`` whose walk meets a vanishing factor.
+    """
+    order = np.argsort(-np.abs(n), kind="stable")
+    steps, sign = np.abs(n[order]), np.sign(n[order])
+    up, down = s * (sign > 0), s * (sign < 0)
+    x = z[order]
+    log_mult = np.zeros_like(x)
+    for k in range(steps[0]):
+        m = np.searchsorted(-steps, -k)  # points with more than k steps
+        xk = x[:m]
+        xk -= down[:m]
+        factor = 1.0 - np.exp(TWO_PI_I * s * xk)
+        vanished = (sign[:m] > 0) & (np.abs(factor) < 1e-280)
+        if vanished.any():
+            i = np.flatnonzero(vanished)[0]
+            raise PoleError(f"shift factor vanished at {xk[i]} on the walk from "
+                            f"z = {origin[order][i]}")
+        log_mult[:m] -= sign[:m] * np.log(factor)
+        xk += up[:m]
+    z[order] = x
+    out = np.empty_like(log_mult)
+    out[order] = log_mult
+    return out
 
 
 def gb(z: complex | np.ndarray, p: BParam) -> complex | np.ndarray:
     """G_b(z) anywhere away from the pole lattice.
 
-    Zero-lattice points return exactly 0; all other points are reduced into
-    the strip and evaluated as exp(log sum of the shift factors + log
-    G_b(z')).  OverflowError names the first z whose G_b is not finite, or
-    is 0 off the zero lattice, in double precision.
+    Points within 1e-12 of the real axis are classified against both
+    lattices: a pole raises PoleError naming z, and a zero returns exactly
+    0.  Every other point is reduced into the strip by the shifts
+    _reduction_shift chooses, once per distinct Re z, and evaluated as
+    exp(log sum of the shift factors + log G_b(z')).  OverflowError names
+    the first z whose G_b is not finite, or is 0 off the zero lattice, in
+    double precision.
     """
     zs = _finite_array(z)
-    out = np.zeros(zs.size, dtype=complex)
-    reduced: list[complex] = []
-    log_shifts: list[complex] = []
-    idx: list[int] = []
-    for i, zi in enumerate(zs.ravel()):
-        c = classify(zi, p, tol=1e-12)
+    flat = zs.ravel()
+    regular = np.ones(flat.size, dtype=bool)
+    for i in np.flatnonzero(np.abs(flat.imag) <= 1e-12):
+        c = classify(flat[i], p, tol=1e-12)
         if c.kind == "pole":
-            raise PoleError(f"G_b has a pole at z = {zi} (n1={c.n1}, n2={c.n2})")
-        if c.kind == "zero":
-            continue
-        n1, n2 = _reduction_shift(zi.real, p)
-        x1, l1 = _apply_steps(zi, n1, p.b)
-        x2, l2 = _apply_steps(x1, n2, 1.0 / p.b)
-        reduced.append(x2)
-        log_shifts.append(l1 + l2)
-        idx.append(i)
-    if reduced:
+            raise PoleError(f"G_b has a pole at z = {flat[i]} (n1={c.n1}, n2={c.n2})")
+        regular[i] = c.kind == "regular"
+    out = np.zeros(flat.size, dtype=complex)
+    origin = flat[regular]
+    if origin.size:
+        n1, n2 = _reduction_shifts(origin.real, p).T
+        reduced = origin.copy()
+        log_shift = _walk(reduced, n1, p.b, origin) + _walk(reduced, n2, 1.0 / p.b, origin)
         with np.errstate(over="ignore"):
-            values = np.exp(np.asarray(log_shifts) + log_gb_strip(np.array(reduced), p))
+            values = np.exp(log_shift + log_gb_strip(reduced, p))
         bad = ~np.isfinite(values) | (values == 0)
         if bad.any():
-            raise OverflowError(
-                f"G_b(z) at z = {zs.ravel()[idx][bad][0]} is out of double range"
-            )
-        out[idx] = values
+            raise OverflowError(f"G_b(z) at z = {origin[bad][0]} is out of double range")
+        out[regular] = values
     return out.reshape(zs.shape) if np.ndim(z) else complex(out[0])
 
 

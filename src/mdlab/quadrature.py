@@ -177,10 +177,11 @@ def integrate_line(
     envelope sampling before any panel is refined; ``initial_T`` is the first
     truncation half-width tried, and must be positive and finite.  Each panel
     is valued by the 21-point Kronrod rule K21, with |K21 - G10| against the
-    embedded 10-point Gauss rule as its error estimate.  Panels are bisected
-    greedily, worst error first.  Each round calls ``f`` once: on the nodes
-    of all initial panels, then on those of both halves of each bisected
-    panel.
+    embedded 10-point Gauss rule as its error estimate.  Until the errors
+    sum to the target, each round bisects every panel whose error exceeds
+    its share of the target, target / (number of panels), so that one call
+    of ``f`` per round takes the nodes of all initial panels, then those of
+    both halves of every panel bisected in that round.
     """
     if not (0 < initial_T < math.inf):
         raise ValueError(f"initial_T must be positive and finite, got {initial_T}")
@@ -188,18 +189,22 @@ def integrate_line(
     edges = np.linspace(-T, T, _INITIAL_PANELS + 1)
     panels = _panels(f, edges[:-1], edges[1:], offset)
 
-    for _ in range(cfg.max_refinements):
+    bisections = 0
+    while True:
         total = sum(p[2] for p in panels)
         err = sum(p[3] for p in panels)
         target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         if err <= target:
             return total
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a, b, _, _ = panels.pop(worst)
+        share = target / len(panels)
+        split = [p for p in panels if p[3] > share]
+        bisections += len(split)
+        if bisections > cfg.max_refinements:
+            raise NonConvergenceError(
+                f"line integral did not converge within {cfg.max_refinements} "
+                f"refinements (estimated error {err:.3e}, target {target:.3e})"
+            )
+        panels = [p for p in panels if p[3] <= share]
+        a, b = np.array([p[:2] for p in split]).T
         m = 0.5 * (a + b)
-        panels += _panels(f, np.array([a, m]), np.array([m, b]), offset)
-
-    raise NonConvergenceError(
-        f"line integral did not converge after {cfg.max_refinements} refinements "
-        f"(estimated error {err:.3e}, target {target:.3e})"
-    )
+        panels += _panels(f, np.concatenate([a, m]), np.concatenate([m, b]), offset)

@@ -17,9 +17,12 @@ import numpy as np
 
 from .params import BParam, OmegaParams
 from .qdilog import (
+    STRIP_MARGIN,
+    _reduction_shifts,
     check_asymptotics,
     classify,
     gb,
+    log_gb_strip,
     residue_coeff,
     residue_limit,
     shift_product,
@@ -59,24 +62,58 @@ def _strip_grid(p: BParam) -> np.ndarray:
     return (re[:, None] + 1j * im[None, :]).ravel()
 
 
+def _landing(z: np.ndarray, p: BParam) -> np.ndarray:
+    """Re z' of the strip point z' onto which gb reduces each point of z."""
+    return z.real + _reduction_shifts(z.real, p) @ (p.b, 1.0 / p.b)
+
+
 def check_functional_equation(b: float, tolerance: float = 1e-9) -> CheckReport:
-    """G_b(z + n1*b + n2/b) = (finite shift product) * G_b(z) over a grid,
-    one relative error over all shifts."""
+    """G_b(z + s) = (finite shift product) * G_b(z), s = n1*b + n2/b, one
+    relative error over every scored pair.
+
+    Two sets of pairs.  The strip grid shifted by every s with n1, n2 <=
+    _MAX_SHIFT goes through gb; where gb reduces z + s onto the same strip
+    point as z, the pair compares the step factors with themselves, so it is
+    not scored.  As many pairs again have z and z + s both in the strip,
+    shared among the shifts that fit, and go through the strip kernel, so no
+    reduction can make them circular.
+    """
     start = time.perf_counter()
     p = BParam(b)
     z = _strip_grid(p)
-    base = gb(z, p)
     shifts = [s for s in itertools.product(range(_MAX_SHIFT + 1), repeat=2) if s != (0, 0)]
-    shifted = np.concatenate([gb(z + n1 * p.b + n2 / p.b, p) for n1, n2 in shifts])
-    expected = np.concatenate([
-        np.array([shift_product(zi, n1, n2, p) for zi in z]) * base for n1, n2 in shifts
-    ])
+    base, landing = gb(z, p), _landing(z, p)
+    got, want = [], []
+    for n1, n2 in shifts:
+        shifted = z + n1 * p.b + n2 / p.b
+        value = gb(shifted, p)
+        # Landing points of one pair differ by a lattice vector: 0, or far
+        # more than rounding.
+        scored = np.abs(_landing(shifted, p) - landing) > 1e-9
+        got.append(value[scored])
+        want.append(np.array([shift_product(zi, n1, n2, p) for zi in z[scored]]) * base[scored])
+    n_shifted = sum(map(len, got))
+
+    low = 2 * STRIP_MARGIN
+    fits = [(n1, n2) for n1, n2 in shifts if n1 * p.b + n2 / p.b < p.Q - 2 * low]
+    rows = -(-len(z) * len(shifts) // (len(fits) * _GRID_SIDE))
+    for n1, n2 in fits:
+        s = n1 * p.b + n2 / p.b
+        re = np.linspace(low, p.Q - low - s, rows)
+        w = (re[:, None] + 1j * np.linspace(-1.0, 1.0, _GRID_SIDE)).ravel()
+        got.append(np.exp(log_gb_strip(w + s, p)))
+        want.append(np.array([shift_product(wi, n1, n2, p) for wi in w])
+                    * np.exp(log_gb_strip(w, p)))
+    n_strip = sum(map(len, got)) - n_shifted
     return CheckReport(
         identity_id="functional_equation",
         params={"b": b, "n_points": len(z), "max_shift": _MAX_SHIFT},
-        rel_error=relative_error(shifted, expected),
+        rel_error=relative_error(np.concatenate(got), np.concatenate(want)),
         tolerance=tolerance,
         wall_time=time.perf_counter() - start,
+        detail=(f"{n_shifted + n_strip} pairs scored: {n_shifted} of the "
+                f"{len(z) * len(shifts)} shifted grid pairs (the others land on "
+                f"z's strip point) and {n_strip} in-strip pairs over {len(fits)} shifts"),
     )
 
 

@@ -149,20 +149,80 @@ def test_batch_layout_independent(shape):
     assert np.array_equal(gb(z.T, P), gb(z, P).T)
 
 
+def _walk_reference(z: complex, n: int, s: float) -> tuple[complex, complex]:
+    """The scalar shift walk: z -> z + n*s one step at a time, returning
+    (z', L) with G_b(z) = e^L G_b(z')."""
+    x, log_mult = z, 0j
+    for _ in range(abs(n)):
+        if n > 0:
+            log_mult -= cmath.log(1.0 - cmath.exp(2j * math.pi * s * x))
+            x += s
+        else:
+            x -= s
+            log_mult += cmath.log(1.0 - cmath.exp(2j * math.pi * s * x))
+    return x, log_mult
+
+
+def test_batch_reduction_matches_scalar_walk():
+    # Repeated real parts, zero-lattice points, and walks up and down by
+    # both b and 1/b, in one batch: each value matches the scalar walk
+    # followed by the strip kernel, and gb on the point alone.
+    zeros = [P.Q, P.Q + P.b, P.Q + P.b + 1 / P.b]
+    zs = np.array([-2.3 + 0.4j, -2.3 - 0.9j, -2.3 + 0.0j, 4.1 + 0.2j, 4.1 - 1.1j,
+                   0.6 + 0.3j, -0.7 - 0.5j, 6.9 + 0.7j, 3.3 + 0j, *zeros, -2.3 + 1.3j])
+    regular = [complex(zi) for zi in zs if complex(zi) not in zeros]
+    shifts = np.array([qdilog._reduction_shift(zi.real, P) for zi in regular])
+    assert (shifts > 0).any(axis=0).all() and (shifts < 0).any(axis=0).all()
+
+    batch = gb(zs, P)
+    assert np.all(batch[9:12] == 0.0)
+    for zi, value in zip(zs, batch):
+        zi = complex(zi)
+        if zi in zeros:
+            continue
+        n1, n2 = qdilog._reduction_shift(zi.real, P)
+        x1, l1 = _walk_reference(zi, n1, P.b)
+        x2, l2 = _walk_reference(x1, n2, 1.0 / P.b)
+        expected = cmath.exp(l1 + l2 + log_gb_strip(x2, P))
+        assert abs(value - expected) <= 1e-13 * abs(expected), zi
+        assert abs(value - gb(zi, P)) <= 1e-13 * abs(value), zi
+
+
+def test_pole_in_batch_names_z():
+    pole = complex(-P.b - 1 / P.b)
+    with pytest.raises(PoleError, match=re.escape(f"z = {pole}")):
+        gb(np.array([0.5 + 0.2j, 4.1 + 0j, pole, 1.0 + 0j]), P)
+
+
+def test_vanishing_shift_factor_names_z(monkeypatch):
+    # With classification bypassed, the walk from the pole z = 0 meets the
+    # factor 1 - e^0 = 0 at its first step and names z.
+    monkeypatch.setattr(qdilog, "classify", lambda z, p, tol: PoleZeroClass("regular"))
+    with pytest.raises(PoleError, match=re.escape("on the walk from z = 0j")):
+        gb(np.array([0.5 + 0.2j, 0j, 1.0 + 0j]), P)
+
+
 def test_strip_kernel_peak_memory():
     # The kernel works on one block of rows at a time, in place, so its peak
-    # is one block of max(1, _BLOCK_VALUES // len(t)) rows of len(t)
-    # complex values whatever the batch size.
+    # is bounded by one block of max(1, _BLOCK_VALUES // nodes) rows of
+    # `nodes` complex values, the grid's node count, whatever the batch size.
     import tracemalloc
 
     from mdlab.qdilog import _BLOCK_VALUES, _t_grid
 
-    for n in (1000, 4000):
+    def batch(n, height):
         rng = np.random.default_rng(11)
-        z = rng.uniform(0.1 * P.Q, 0.9 * P.Q, n) + 1j * rng.uniform(-2.0, 2.0, n)
-        t, _ = _t_grid(P, float(z.real.min()), float(P.Q - z.real.max()),
-                       float(np.abs(z.imag).max()))
-        block_bytes = max(1, _BLOCK_VALUES // t.size) * t.size * 16
+        return rng.uniform(0.1 * P.Q, 0.9 * P.Q, n) + 1j * height(rng, n)
+
+    # The last batch, |Im z| in [8, 16) on both sides of the axis, has runs
+    # of equal panels on both sides of the contour, which share the block.
+    for z in (batch(1000, lambda rng, n: rng.uniform(-2.0, 2.0, n)),
+              batch(4000, lambda rng, n: rng.uniform(-2.0, 2.0, n)),
+              batch(4000, lambda rng, n: rng.choice([-1, 1], n) * rng.uniform(8.0, 16.0, n))):
+        n = z.size
+        nodes = sum(side.w.size + side.W.size for side in _t_grid(
+            P, float(z.real.min()), float(P.Q - z.real.max()), float(np.abs(z.imag).max())))
+        block_bytes = max(1, _BLOCK_VALUES // nodes) * nodes * 16
         tracemalloc.start()
         try:
             log_gb_strip(z, P)
@@ -186,6 +246,50 @@ def test_strip_kernel_peak_memory_wide_grid():
     finally:
         tracemalloc.stop()
     assert peak < 16e6, peak
+
+
+def _direct_strip_integral(z: complex, p: BParam) -> complex:
+    """I(z) summed node by node, e^{u t} times the weight at each node of
+    the same grid as the kernel's."""
+    total = 0j
+    for side in qdilog._t_grid(p, z.real, p.Q - z.real, abs(z.imag)):
+        near, run = side.w.size, side.w.size + len(side.W)
+        t = np.concatenate([side.x[:near], (side.x[near:run, None] + side.x[run:]).ravel()])
+        w = np.concatenate([side.w, side.W.ravel()])
+        total += np.sum(np.exp((z - side.shift) * t) * w)
+    return total
+
+
+@pytest.mark.parametrize("b", [0.035, 0.45, 0.83, 1.2, 28.3])
+def test_strip_kernel_against_direct_sum(b):
+    # The kernel factors e^{u t} on the run of equal panels; summed node by
+    # node on the same grid it agrees to 1e-13 relative to max(|I|, 1),
+    # which is G_b's relative error where |I| <= 1, for |Im z| <= 8, and
+    # within 1e-13 e^{eps |Im z|} farther out.
+    p = BParam(b)
+    eps = qdilog._contour_elevation(p)
+    for x in (STRIP_MARGIN, p.Q - STRIP_MARGIN):
+        for y in (0.5, 3.0, 10.0, 20.0):
+            for z in (complex(x, y), complex(x, -y)):
+                got = qdilog._strip_integral(np.array([z]), p)[0]
+                want = _direct_strip_integral(z, p)
+                assert np.isfinite(got), z
+                bound = 1e-13 * (1.0 if y <= 8 else math.exp(eps * y))
+                assert abs(got - want) <= bound * max(abs(want), 1.0), (z, got, want)
+
+
+def test_panel_run_is_explicit():
+    # Past the panels near t = 0 the run fills [e_g, T] with equal panels no
+    # wider than 2 * _OSC_HALF_WIDTH / |Im z|; with |Im z| = 0 there is none.
+    from mdlab.qdilog import _OSC_HALF_WIDTH, _panel_edges
+
+    eps = qdilog._contour_elevation(P)
+    edges, count, width = _panel_edges(eps, 10.0, 300.0, 10**6)
+    assert count > 0 and edges[0] == 0.0 and np.all(np.diff(edges) > 0)
+    assert width <= 2 * _OSC_HALF_WIDTH / 10.0
+    assert edges[-1] + count * width == pytest.approx(300.0, rel=1e-14)
+    edges, count, width = _panel_edges(eps, 0.0, 30.0, 10**6)
+    assert (count, width, edges[-1]) == (0, 0.0, 30.0)
 
 
 def test_strip_guard():
@@ -290,7 +394,7 @@ def test_gb_out_of_double_range_raises():
     z = complex(111.36730375426622, -1.0)
     with pytest.raises(OverflowError, match=re.escape(f"z = {z}")):
         gb(z, p)
-    with pytest.raises(OverflowError, match="out of double range"):
+    with pytest.raises(OverflowError, match=re.escape(f"z = {z} is out of double range")):
         gb(np.array([1.0 + 0j, z]), p)
 
 
@@ -323,6 +427,41 @@ def test_functional_equation_nan_fails(monkeypatch):
     rep = suites.check_functional_equation(0.83)
     assert len(calls) == 16
     assert math.isnan(rep.rel_error) and not rep.passed
+
+
+@pytest.mark.parametrize("b", [0.035, 0.45, 0.83])
+def test_functional_equation_scores_no_circular_pair(b):
+    # Where gb reduces z and z + s onto one strip point, the pair compares
+    # the step factors with themselves; such pairs are not scored, and the
+    # in-strip pairs keep at least 1,500 scored.  At b = 0.035 every shifted
+    # grid pair is circular.
+    rep = suites.check_functional_equation(b)
+    m = re.fullmatch(r"(\d+) pairs scored: (\d+) of the 1500 shifted grid pairs "
+                     r"\(the others land on z's strip point\) and (\d+) in-strip pairs "
+                     r"over \d shifts", rep.detail)
+    scored, shifted, strip = map(int, m.groups())
+    assert rep.passed and scored == shifted + strip >= 1500
+    assert shifted == (0 if b == 0.035 else {0.45: 360, 0.83: 770}[b])
+
+
+def test_functional_equation_catches_a_kernel_error(monkeypatch):
+    # A kernel off by 1e-6 z cancels from every circular pair; only pairs
+    # whose G_b values come from two strip points see it.  At b = 0.035
+    # those are the in-strip pairs alone.
+    strip = qdilog.log_gb_strip
+    wrong = lambda z, p: strip(z, p) + 1e-6 * np.asarray(z)
+    monkeypatch.setattr(qdilog, "log_gb_strip", wrong)
+    monkeypatch.setattr(suites, "log_gb_strip", wrong)
+    rep = suites.check_functional_equation(0.035)
+    assert not rep.passed and rep.rel_error > 1e-8
+
+
+def test_functional_equation_perturbed_shift_product_fails(monkeypatch):
+    product = suites.shift_product
+    monkeypatch.setattr(suites, "shift_product",
+                        lambda z, n1, n2, p: product(z, n1, n2, p) * (1 + 1e-7))
+    rep = suites.check_functional_equation(0.83)
+    assert not rep.passed and rep.rel_error > 5e-8
 
 
 def test_residues_nan_fails(monkeypatch):
